@@ -33,7 +33,13 @@ from .io import (
     ratio_report_to_dict,
     save_instance,
 )
-from .matching import CapExceededError, optimal_matching, ratio_report, weight
+from .matching import (
+    DEFAULT_ORACLE_CAP,
+    CapExceededError,
+    optimal_matching,
+    ratio_report,
+    weight,
+)
 from .svg import render_figure
 
 EXIT_OK = 0
@@ -192,7 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("--input", required=True, help="instance file (JSON or CSV)")
         p.add_argument("--output", default=None, help="write the result to this file")
-        p.add_argument("--cap", type=int, default=12, help="oracle cap in edges (pairs)")
+        p.add_argument(
+            "--cap", type=int, default=DEFAULT_ORACLE_CAP, help="oracle cap in edges (pairs)"
+        )
 
     p = sub.add_parser("solve", help="exact optimum matching")
     add_common(p)

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from localmatch.cli import main
+from localmatch.cli import build_parser, main
 from localmatch.generators import gen_random
 from localmatch.io import (
     InstanceFile,
@@ -15,7 +15,7 @@ from localmatch.io import (
     load_instance,
     save_instance,
 )
-from localmatch.matching import optimal_matching
+from localmatch.matching import DEFAULT_ORACLE_CAP, optimal_matching
 
 
 SQUARE = {"points": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]}
@@ -83,6 +83,14 @@ class TestSolveCommand:
         inp = tmp_path / "big.json"
         save_instance(inp, instance_from_objects(ps))
         assert main(["solve", "--input", str(inp)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[c, "--input", "x.json"] for c in ("solve", "verify", "certify", "crossing")]
+        + [["mine"], ["gen"]],
+    )
+    def test_cap_default_is_oracle_cap(self, argv):
+        assert build_parser().parse_args(argv).cap == DEFAULT_ORACLE_CAP
 
 
 class TestVerifyCommand:

@@ -19,6 +19,7 @@ from localmatch.generators import (
 )
 from localmatch.geometry import disks_intersect, distance, orientation
 from localmatch.matching import (
+    DEFAULT_ORACLE_CAP,
     Matching,
     is_k_local_max,
     is_k_local_min,
@@ -95,12 +96,15 @@ class TestGenCircleAlternating:
         assert is_k_local_min(ps, red, 2).is_local_max
 
     def test_two_local_minimum_fails_below_threshold(self):
-        ps, red = gen_circle_alternating(20, 0.01)
+        pairs = 20
+        ps, red = gen_circle_alternating(pairs, 0.01)
         report = is_k_local_min(ps, red, 2)
         assert not report.is_local_max
-        # The violating pair is a pair of adjacent unit chords.
+        # The violating pair is two unit chords (2i, 2i+1) that are
+        # neighbours around the circle, the wrap-around pair included.
         (e1, e2) = report.violating_subset
-        assert abs(e1[1] - e2[0]) == 1 or abs(e2[1] - e1[0]) == 1
+        assert {e1, e2} <= set(red.pairs)
+        assert (e2[0] - e1[0]) // 2 % pairs in (1, pairs - 1)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -178,6 +182,6 @@ class TestMiner:
         with pytest.raises(ValueError):
             MinerConfig(k=2, num_points=7, budget_iterations=10)
         with pytest.raises(ValueError):
-            MinerConfig(k=2, num_points=26, budget_iterations=10)
+            MinerConfig(k=2, num_points=2 * DEFAULT_ORACLE_CAP + 2, budget_iterations=10)
         with pytest.raises(ValueError):
             MinerConfig(k=2, num_points=6, budget_iterations=0)

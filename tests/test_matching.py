@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from localmatch.generators import gen_random
+from localmatch.generators import gen_circle_alternating, gen_random
 from localmatch.geometry import Point
 from localmatch.matching import (
     CapExceededError,
@@ -28,6 +28,12 @@ SQRT2 = math.sqrt(2.0)
 
 def unit_square():
     return PointSet([Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)])
+
+
+def regular_polygon(n):
+    return PointSet(
+        [Point(math.cos(2 * math.pi * i / n), math.sin(2 * math.pi * i / n)) for i in range(n)]
+    )
 
 
 def brute_force_weight(ps, objective="maximize"):
@@ -111,6 +117,92 @@ class TestOptimalMatching:
                 assert w == pytest.approx(
                     brute_force_weight(ps, objective), rel=1e-9
                 )
+
+
+# Pairs the oracle returns on tie-rich and random instances, as
+# (maximize, minimize).  The square and the grid have exact ties, so these
+# literals pin the ascending partner scan and the strict-improvement
+# tie-break that locality reports and rematches depend on.
+GOLDEN_PAIRS = {
+    "square": (
+        ((0, 2), (1, 3)),
+        ((0, 1), (2, 3)),
+    ),
+    "hexagon": (
+        ((0, 3), (1, 4), (2, 5)),
+        ((0, 5), (1, 2), (3, 4)),
+    ),
+    "octagon": (
+        ((0, 4), (1, 5), (2, 6), (3, 7)),
+        ((0, 1), (2, 3), (4, 5), (6, 7)),
+    ),
+    "grid4x4": (
+        ((0, 10), (1, 14), (2, 13), (3, 12), (4, 11), (5, 15), (6, 9), (7, 8)),
+        ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13), (14, 15)),
+    ),
+    "circle8": (
+        ((0, 8), (1, 9), (2, 10), (3, 11), (4, 12), (5, 13), (6, 14), (7, 15)),
+        ((0, 15), (1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12), (13, 14)),
+    ),
+    "random10": (
+        ((0, 2), (1, 8), (3, 7), (4, 5), (6, 9)),
+        ((0, 7), (1, 9), (2, 4), (3, 8), (5, 6)),
+    ),
+    "random16": (
+        ((0, 14), (1, 13), (2, 12), (3, 6), (4, 5), (7, 11), (8, 10), (9, 15)),
+        ((0, 7), (1, 10), (2, 13), (3, 4), (5, 6), (8, 15), (9, 12), (11, 14)),
+    ),
+    "random20": (
+        ((0, 11), (1, 13), (2, 17), (3, 7), (4, 5), (6, 18), (8, 10), (9, 19), (12, 14), (15, 16)),
+        ((0, 17), (1, 10), (2, 13), (3, 11), (4, 18), (5, 6), (7, 19), (8, 14), (9, 16), (12, 15)),
+    ),
+}
+
+
+def golden_instance(name):
+    if name == "square":
+        return unit_square()
+    if name == "hexagon":
+        return regular_polygon(6)
+    if name == "octagon":
+        return regular_polygon(8)
+    if name == "grid4x4":
+        return PointSet([Point(x, y) for y in range(4) for x in range(4)])
+    if name == "circle8":
+        return gen_circle_alternating(8, 0.01)[0]
+    return gen_random(int(name.removeprefix("random")), seed=0)
+
+
+class TestOracleTieBreak:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PAIRS))
+    def test_pairs_match_golden(self, name):
+        ps = golden_instance(name)
+        want_max, want_min = GOLDEN_PAIRS[name]
+        assert optimal_matching(ps, "maximize").pairs == want_max
+        assert optimal_matching(ps, "minimize").pairs == want_min
+
+
+class TestOracleAgainstBlossom:
+    """Independent check of the subset DP at sizes enumeration cannot reach,
+    against Edmonds' blossom algorithm as implemented by networkx."""
+
+    @pytest.mark.parametrize("n", [20, 22, 24, 26])
+    def test_weights_match_networkx(self, n):
+        nx = pytest.importorskip("networkx")
+        ps = gen_random(n, seed=4000 + n)
+        g = nx.Graph()
+        for i in range(n):
+            for j in range(i + 1, n):
+                g.add_edge(i, j, weight=ps.dist[i][j])
+        for objective, nx_matching in (
+            ("maximize", nx.max_weight_matching(g, maxcardinality=True)),
+            ("minimize", nx.min_weight_matching(g)),
+        ):
+            assert len(nx_matching) == n // 2
+            nx_weight = weight(Matching(nx_matching), ps)
+            assert weight(optimal_matching(ps, objective), ps) == pytest.approx(
+                nx_weight, rel=1e-9
+            )
 
 
 class TestEnumerateMatchings:
