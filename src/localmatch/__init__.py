@@ -15,6 +15,7 @@ from .certificates import (
     LocalityError,
     WitnessError,
     certify,
+    check_witness,
     common_point,
     diametral_family,
     fingerhut_center,

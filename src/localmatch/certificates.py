@@ -2,14 +2,21 @@
 
 A certificate is a point c together with the per-edge inequality chain
 |ca| + |cb| <= beta * |ab|, which sandwiches any rival matching between the
-star around c and beta times the certified matching.  Witness points are
-found by minimizing a convex pointwise-maximum objective (disk slack or
-normalized ellipse radius) with multi-start Polyak subgradient descent,
-then polished and certified optimal through the active-set KKT conditions.
+star around c and beta times the certified matching.  Witness points
+minimize a convex pointwise-maximum objective in the plane.  For disk slack
+max_i(|x - c_i| - r_i), an LP-type problem of combinatorial dimension 3,
+an exact solver pivots on violated disks over bases of at most three disks
+with closed-form optima; the witness carries its support and convex
+multipliers, so `check_witness` re-verifies optimality without the solver.
+For the normalized ellipse radius, whose 2- and 3-supports have no closed
+form, multi-start Polyak subgradient descent is polished and certified
+optimal through the active-set KKT conditions.  Slack verdicts are relative
+to the instance's length scale.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
@@ -35,6 +42,7 @@ __all__ = [
     "CERTIFICATE_KINDS",
     "diametral_family",
     "common_point",
+    "check_witness",
     "fingerhut_center",
     "star_weight",
     "certify",
@@ -90,9 +98,25 @@ class DiskFamily:
 
 @dataclass(frozen=True)
 class CenterWitness:
+    """A witness point and its slack, the objective's value there.
+
+    A disk witness measures slack in its family's length unit `scale` and
+    names its optimal basis: `support` lists disks active at the point, and
+    `multipliers` the convex weights under which their outward unit vectors
+    sum to zero.  Fingerhut slack is a ratio, so its scale is 1 and its
+    support and multipliers are empty.
+    """
+
     point: Point
     slack: float
     kind: WitnessKind
+    support: tuple[int, ...] = ()
+    multipliers: tuple[float, ...] = ()
+    scale: float = 1.0
+
+    def holds(self, tol: Tolerance = DEFAULT_TOL) -> bool:
+        """Slack is nonpositive up to eps_opt in the instance's length unit."""
+        return self.slack <= tol.eps_opt * self.scale
 
 
 @dataclass(frozen=True)
@@ -107,52 +131,219 @@ class Certificate:
 
 
 # ---------------------------------------------------------------------------
-# Convex pointwise-max solver
+# Disk witness: exact violator pivoting
 # ---------------------------------------------------------------------------
 
+# Violation threshold of the pivot loop, relative to the family's length scale.
+_PIVOT_RTOL = 1e-12
 
-class _DiskSlackObjective:
-    """max_i (|x - c_i| - r_i): negative iff x lies in every closed disk."""
 
-    def __init__(self, disks: Sequence[Disk]):
-        self.cx = [d.center.x for d in disks]
-        self.cy = [d.center.y for d in disks]
-        self.r = [d.radius for d in disks]
-        self.n = len(self.r)
+def _disk_coordinates(df: DiskFamily) -> tuple[list[float], list[float], list[float]]:
+    disks = df.scaled_disks()
+    return [d.center.x for d in disks], [d.center.y for d in disks], [d.radius for d in disks]
 
-    def scale_hint(self) -> float:
-        span = max(self.cx) - min(self.cx) + max(self.cy) - min(self.cy)
-        return max(span, max(self.r), 1e-9)
 
-    def values(self, x: float, y: float) -> list[float]:
-        return [
-            math.hypot(x - self.cx[i], y - self.cy[i]) - self.r[i] for i in range(self.n)
-        ]
+def _length_scale(xs: Sequence[float], ys: Sequence[float], radii: Sequence[float]) -> float:
+    """Largest distance between two centres, or largest radius: the unit in
+    which slack is judged, unchanged by rigid motions and relabelling."""
+    n = len(xs)
+    return max(
+        max(radii),
+        max(
+            (math.hypot(xs[i] - xs[j], ys[i] - ys[j]) for i in range(n) for j in range(i + 1, n)),
+            default=0.0,
+        ),
+    )
 
-    def gradient(self, i: int, x: float, y: float) -> tuple[float, float]:
-        dx = x - self.cx[i]
-        dy = y - self.cy[i]
+
+def _slack_tolerance(rel: float, scale: float, cx, cy, r) -> float:
+    """rel in the family's length unit, floored by the rounding of
+    coordinates that lie far from the origin relative to that unit."""
+    magnitude = max(max(map(abs, cx)), max(map(abs, cy)), max(r))
+    return rel * scale + 16.0 * math.ulp(magnitude)
+
+
+def _ascending_roots(a: float, b: float, c: float) -> list[float]:
+    """Real roots of a s^2 + b s + c = 0 in ascending order; a discriminant
+    that is negative only by rounding counts as a double root."""
+    if a == 0.0:
+        return [-c / b] if b != 0.0 else []
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        if disc < -1e-12 * (b * b + abs(4.0 * a * c)):
+            return []
+        disc = 0.0
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    if q == 0.0:
+        return [0.0]
+    return sorted((q / a, c / q))
+
+
+def _balance3(cx, cy, support, x: float, y: float) -> Optional[tuple[float, ...]]:
+    """Convex weights under which the outward unit vectors of three disks at
+    (x, y) sum to zero, or None when 0 lies outside their convex hull."""
+    units = []
+    for m in support:
+        dx, dy = x - cx[m], y - cy[m]
         d = math.hypot(dx, dy)
-        if d <= 1e-300:
-            return 0.0, 0.0
-        return dx / d, dy / d
+        if d == 0.0:
+            return None
+        units.append((dx / d, dy / d))
+    (ax, ay), (bx, by), (ex, ey) = units
+    # Barycentric coordinates of the origin in the triangle of unit vectors.
+    w = (bx * ey - by * ex, ex * ay - ey * ax, ax * by - ay * bx)
+    total = w[0] + w[1] + w[2]
+    if total == 0.0:
+        return None
+    lam = tuple(v / total for v in w)
+    return lam if min(lam) >= 0.0 else None
 
-    def hessian(self, i: int, x: float, y: float) -> tuple[float, float, float]:
-        dx = x - self.cx[i]
-        dy = y - self.cy[i]
+
+def _apollonius(cx, cy, r, support):
+    """3-support optimum: the point of equal slack t on three disks whose
+    outward unit vectors have 0 in their convex hull.
+
+    In coordinates centred on c_i, with s = r_i + t = |x|, subtracting the
+    squared equations |x - a_m|^2 = (s + p_m)^2 (p_m = r_m - r_i) from
+    |x|^2 = s^2 leaves a_m . x = (|a_m|^2 - p_m^2) / 2 - s p_m for m = j, k.
+    So x = p - s q is affine in s, and |x|^2 = s^2 is a quadratic in s whose
+    smallest admissible root is taken.
+    """
+    i, j, k = support
+    ox, oy = cx[i], cy[i]
+    ajx, ajy, akx, aky = cx[j] - ox, cy[j] - oy, cx[k] - ox, cy[k] - oy
+    pj, pk = r[j] - r[i], r[k] - r[i]
+    det = ajx * aky - ajy * akx
+    if det == 0.0:
+        return None
+    hj = (ajx * ajx + ajy * ajy - pj * pj) / 2.0
+    hk = (akx * akx + aky * aky - pk * pk) / 2.0
+    px, py = (hj * aky - hk * ajy) / det, (ajx * hk - akx * hj) / det
+    qx, qy = (pj * aky - pk * ajy) / det, (ajx * pk - akx * pj) / det
+    roots = _ascending_roots(qx * qx + qy * qy - 1.0, -2.0 * (px * qx + py * qy), px * px + py * py)
+    for s in roots:
+        if min(s, s + pj, s + pk) < 0.0:
+            continue
+        x, y = ox + px - s * qx, oy + py - s * qy
+        lam = _balance3(cx, cy, support, x, y)
+        if lam is not None:
+            return x, y, s - r[i], lam
+    return None
+
+
+def _support_optimum(cx, cy, r, support):
+    """Closed-form minimizer (x, y, t, multipliers) of the disks in `support`
+    with all of them active, or None when no such point has nonnegative
+    multipliers."""
+    if len(support) == 1:
+        (i,) = support
+        return cx[i], cy[i], -r[i], (1.0,)
+    if len(support) == 2:
+        i, j = support
+        dx, dy = cx[j] - cx[i], cy[j] - cy[i]
         d = math.hypot(dx, dy)
-        if d <= 1e-300:
-            return 0.0, 0.0, 0.0
-        ux, uy = dx / d, dy / d
-        return (1.0 - ux * ux) / d, -ux * uy / d, (1.0 - uy * uy) / d
+        a = (d + r[i] - r[j]) / 2.0
+        b = (d - r[i] + r[j]) / 2.0
+        if a <= 0.0 or b <= 0.0:
+            return None
+        return cx[i] + dx * (a / d), cy[i] + dy * (a / d), (d - r[i] - r[j]) / 2.0, (0.5, 0.5)
+    return _apollonius(cx, cy, r, support)
 
-    def piece_argmin(self, i: int, x: float, y: float) -> tuple[float, float]:
-        return self.cx[i], self.cy[i]
 
-    def starts(self) -> list[tuple[float, float]]:
-        pts = list(zip(self.cx, self.cy))
-        pts.append((sum(self.cx) / self.n, sum(self.cy) / self.n))
-        return pts
+def _pivot_disks(cx, cy, r, delta: float):
+    """Exact minimizer of max_i (|x - c_i| - r_i) by violator pivoting.
+
+    The basis (at most three disks) starts at the largest disk, lowest index
+    first.  While the most violated disk h exceeds the basis value t, the
+    new basis is the subset of basis + h containing h whose closed-form
+    optimum satisfies every disk of basis + h; among those, a larger one
+    replaces a smaller only when its value is higher beyond tolerance.  The
+    value strictly increases, so no basis repeats and the number of bases
+    bounds the pivots.  Disks count as violated beyond `delta`.  Returns
+    (x, y, slack, support, multipliers).
+    """
+    n = len(r)
+    first = min(range(n), key=lambda i: (-r[i], i))
+    basis: tuple[int, ...] = (first,)
+    x, y, t, lam = cx[first], cy[first], -r[first], (1.0,)
+    for _ in range(n + math.comb(n, 2) + math.comb(n, 3)):
+        vals = [math.hypot(x - cx[i], y - cy[i]) - r[i] for i in range(n)]
+        h = max(range(n), key=vals.__getitem__)
+        if vals[h] <= t + delta:
+            return x, y, vals[h], basis, lam
+        pool = basis + (h,)
+        best = None
+        for size in range(min(len(basis), 2) + 1):
+            for rest in itertools.combinations(basis, size):
+                support = tuple(sorted(rest + (h,)))
+                got = _support_optimum(cx, cy, r, support)
+                if got is None:
+                    continue
+                sx, sy, st, sl = got
+                at = {m: math.hypot(sx - cx[m], sy - cy[m]) - r[m] for m in pool}
+                feasible = all(v <= st + delta for v in at.values())
+                active = all(at[m] >= st - delta for m in support)
+                if feasible and active and (best is None or st > best[2] + delta):
+                    best = (sx, sy, st, support, sl)
+        if best is None:
+            raise WitnessError(f"no basis within disks {sorted(pool)} improves on slack {t:.3e}")
+        x, y, t, basis, lam = best
+    raise WitnessError(f"pivot bound exceeded on {n} disks")
+
+
+def check_witness(df: DiskFamily, witness: CenterWitness, tol: Tolerance = DEFAULT_TOL) -> None:
+    """Re-verify, without the solver, that a disk witness minimizes
+    max_i (|x - c_i| - r_i) over the scaled family.
+
+    It does when every support disk is active at the point, the multipliers
+    are nonnegative and sum to 1, the multiplier-weighted outward unit
+    vectors of the support sum to zero, so 0 is a subgradient, and no disk
+    exceeds the slack.  Lengths are compared within atol, eps_geom in the
+    family's length unit, and unit vectors at that resolution: moving the
+    point by atol turns the unit vector of a centre at distance d by up to
+    atol / d, and a centre within atol is an apex, where every vector of
+    norm at most 1 is a subgradient.  Raises WitnessError naming the first
+    condition that fails.
+    """
+    cx, cy, r = _disk_coordinates(df)
+    atol = _slack_tolerance(tol.eps_geom, _length_scale(cx, cy, r), cx, cy, r)
+    support, lam = witness.support, witness.multipliers
+    if (
+        not support
+        or len(lam) != len(support)
+        or len(set(support)) != len(support)
+        or not all(0 <= i < len(r) for i in support)
+    ):
+        raise WitnessError(f"malformed support {support} with multipliers {lam}")
+    x, y = witness.point.x, witness.point.y
+    vals = [math.hypot(x - cx[i], y - cy[i]) - r[i] for i in range(len(r))]
+    top = max(range(len(vals)), key=vals.__getitem__)
+    if abs(vals[top] - witness.slack) > atol:
+        raise WitnessError(
+            f"disk {top} has slack {vals[top]:.6e}, witness reports {witness.slack:.6e}"
+        )
+    for i in support:
+        if vals[i] < witness.slack - atol:
+            raise WitnessError(f"support disk {i} is not active: slack {vals[i]:.6e}")
+    if min(lam) < -tol.eps_geom or abs(sum(lam) - 1.0) > tol.eps_geom:
+        raise WitnessError(f"multipliers {lam} are not convex weights")
+    gx = gy = room = 0.0
+    for i, l in zip(support, lam):
+        dx, dy = x - cx[i], y - cy[i]
+        d = math.hypot(dx, dy)
+        if d <= atol:
+            room += l
+            continue
+        room += l * atol / d
+        gx += l * dx / d
+        gy += l * dy / d
+    if math.hypot(gx, gy) > room + tol.eps_geom:
+        raise WitnessError(f"weighted unit vectors leave residual {math.hypot(gx, gy):.3e}")
+
+
+# ---------------------------------------------------------------------------
+# Ellipse witness: convex pointwise-max solver
+# ---------------------------------------------------------------------------
 
 
 class _EllipseRatioObjective:
@@ -474,15 +665,29 @@ def diametral_family(m: Matching, ps: PointSet, scale: float = 1.0) -> DiskFamil
 def common_point(df: DiskFamily, tol: Tolerance = DEFAULT_TOL) -> CenterWitness:
     """Point minimizing the maximum scaled-disk slack max_i(|xc_i| - r_i).
 
-    A slack at most eps_opt certifies that the scaled family has a common
-    point; positive slack beyond that means the intersection is empty.
+    The minimizer is exact up to rounding, and the witness names its support
+    and multipliers; it is re-verified by `check_witness` before it is
+    returned.  The scaled family has a common point when `witness.holds(tol)`,
+    i.e. slack is at most eps_opt in the family's length unit; positive slack
+    beyond that means the intersection is empty.
     """
     if len(df) == 0:
         raise ValueError("common_point requires a nonempty disk family")
-    obj = _DiskSlackObjective(df.scaled_disks())
-    point, slack = _minimize_max(obj, tol.eps_opt)
-    kind: WitnessKind = "diametral" if df.scale == 1.0 else "enlarged"
-    return CenterWitness(point=point, slack=slack, kind=kind)
+    cx, cy, r = _disk_coordinates(df)
+    scale = _length_scale(cx, cy, r)
+    x, y, slack, support, multipliers = _pivot_disks(
+        cx, cy, r, _slack_tolerance(_PIVOT_RTOL, scale, cx, cy, r)
+    )
+    witness = CenterWitness(
+        point=Point(x, y),
+        slack=slack,
+        kind="diametral" if df.scale == 1.0 else "enlarged",
+        support=support,
+        multipliers=multipliers,
+        scale=scale,
+    )
+    check_witness(df, witness, tol)
+    return witness
 
 
 def fingerhut_center(m: Matching, ps: PointSet, tol: Tolerance = DEFAULT_TOL) -> CenterWitness:
@@ -522,9 +727,13 @@ def certify(
     matching: w(M*) <= w(S) <= beta * w(M).
 
     The locality precondition is checked here (LocalityError reports the
-    violating subset); a witness whose slack exceeds eps_opt raises
-    WitnessError.  When the instance fits the oracle cap the left side of
-    the chain is verified against the exact maximum matching.
+    violating subset).  Every step is checked relative to the instance's
+    scale: witness slack and the per-edge bounds within eps_opt in its
+    length unit (the point set's diameter for the edges, the disk family's
+    for disk slack; Fingerhut slack is a ratio), and the star bound within
+    eps_opt * beta * w(M); a failed step raises WitnessError.  When the
+    instance fits the oracle cap the left side of the chain is verified
+    against the exact maximum matching, within eps_geom * w(M*).
     """
     if kind not in _KIND_SETTINGS:
         raise ValueError(f"unknown certificate kind {kind!r}")
@@ -540,32 +749,34 @@ def certify(
         witness = common_point(diametral_family(m, ps, 1.0), tol)
     else:
         witness = fingerhut_center(m, ps, tol)
-    if witness.slack > tol.eps_opt:
+    if not witness.holds(tol):
         raise WitnessError(
-            f"witness slack {witness.slack:.3e} exceeds eps_opt {tol.eps_opt:.1e} for kind {kind}"
+            f"witness slack {witness.slack:.3e} exceeds eps_opt {tol.eps_opt:.1e} "
+            f"times length scale {witness.scale:.3e} for kind {kind}"
         )
     c = witness.point
+    edge_tol = tol.eps_opt * max(map(max, ps.dist))
     checks = []
     for i, j in m.pairs:
         lhs = distance(c, ps[i]) + distance(c, ps[j])
         rhs = beta * ps.dist[i][j]
-        if lhs > rhs + tol.eps_opt:
+        if lhs > rhs + edge_tol:
             raise WitnessError(
-                f"per-edge bound violated on ({i}, {j}): {lhs:.12f} > {rhs:.12f} + eps"
+                f"per-edge bound violated on ({i}, {j}): {lhs:.12e} > {rhs:.12e} + {edge_tol:.1e}"
             )
         checks.append(((i, j), lhs, rhs))
     w_star = star_weight(c, ps)
     w_m = weight(m, ps)
-    if w_star > beta * w_m + tol.eps_opt * max(1.0, w_m):
-        raise WitnessError(f"star weight {w_star:.12f} exceeds beta * w(M) = {beta * w_m:.12f}")
+    if w_star > beta * w_m * (1.0 + tol.eps_opt):
+        raise WitnessError(f"star weight {w_star:.12e} exceeds beta * w(M) = {beta * w_m:.12e}")
     oracle_weight: Optional[float] = None
     if len(ps) <= 2 * cap:
         opt = optimal_matching(ps, "maximize", cap)
         oracle_weight = weight(opt, ps)
-        if oracle_weight > w_star + tol.eps_geom * max(1.0, oracle_weight):
+        if oracle_weight > w_star + tol.eps_geom * oracle_weight:
             raise WitnessError(
-                f"triangle-inequality step failed: w(M*) = {oracle_weight:.12f} "
-                f"> w(S) = {w_star:.12f}"
+                f"triangle-inequality step failed: w(M*) = {oracle_weight:.12e} "
+                f"> w(S) = {w_star:.12e}"
             )
     return Certificate(
         kind=kind,

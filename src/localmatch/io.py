@@ -165,6 +165,8 @@ def certificate_to_dict(cert: Certificate) -> dict:
             "point": [cert.witness.point.x, cert.witness.point.y],
             "slack": cert.witness.slack,
             "kind": cert.witness.kind,
+            "support": list(cert.witness.support),
+            "multipliers": list(cert.witness.multipliers),
         },
         "beta": cert.beta,
         "star_weight": cert.star_weight,

@@ -5,13 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from localmatch import certificates
 from localmatch.certificates import (
     ENLARGEMENT_FACTOR,
+    CenterWitness,
     CertificateError,
     DiskFamily,
     LocalityError,
+    WitnessError,
     certify,
+    check_witness,
     common_point,
     diametral_family,
     fingerhut_center,
@@ -19,6 +24,7 @@ from localmatch.certificates import (
 )
 from localmatch.generators import gen_intersecting_disks, gen_random, gen_tangent_disks
 from localmatch.geometry import Disk, Point, Tolerance, disks_intersect, distance
+from localmatch.io import certificate_to_dict
 from localmatch.matching import Matching, PointSet, k_local_search, optimal_matching
 
 SQRT3 = math.sqrt(3.0)
@@ -28,6 +34,63 @@ TOL = Tolerance()
 def crossing_x():
     ps = PointSet([Point(0, 0), Point(1, 1), Point(0, 1), Point(1, 0)])
     return ps, Matching([(0, 1), (2, 3)])
+
+
+def family(*disks):
+    return DiskFamily(tuple(Disk(Point(x, y), r) for x, y, r in disks))
+
+
+def length_scale(disks):
+    """Largest distance between two centres, or largest radius."""
+    spans = [distance(a.center, b.center) for a, b in itertools.combinations(disks, 2)]
+    return max([d.radius for d in disks] + spans)
+
+
+def brute_force_slack(disks):
+    """Optimal slack max_i(|x - c_i| - r_i) by trying every support of at
+    most three disks: a support's closed-form optimum counts when its KKT
+    multipliers are nonnegative and it satisfies the whole family.  Solved
+    in global coordinates with numpy, independently of the solver's algebra."""
+    c = np.array([[d.center.x, d.center.y] for d in disks])
+    r = np.array([d.radius for d in disks])
+    n = len(r)
+    tol = 1e-9 * length_scale(disks)
+
+    def value(x):
+        return float(np.max(np.hypot(x[0] - c[:, 0], x[1] - c[:, 1]) - r))
+
+    candidates = [(c[i], -r[i]) for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        d = float(np.hypot(*(c[j] - c[i])))
+        a = (d + r[i] - r[j]) / 2.0
+        if 0.0 < a < d:
+            candidates.append((c[i] + (c[j] - c[i]) * a / d, (d - r[i] - r[j]) / 2.0))
+    for triple in itertools.combinations(range(n), 3):
+        i, j, k = triple
+        rows = 2.0 * np.array([c[j] - c[i], c[k] - c[i]])
+        if abs(np.linalg.det(rows)) < 1e-300:
+            continue
+        # 2(c_m - c_i).x + 2t(r_m - r_i) = |c_m|^2 - |c_i|^2 - r_m^2 + r_i^2, so x = p - t q.
+        rhs = np.array([c[m] @ c[m] - c[i] @ c[i] - r[m] ** 2 + r[i] ** 2 for m in (j, k)])
+        p = np.linalg.solve(rows, rhs)
+        q = np.linalg.solve(rows, 2.0 * np.array([r[j] - r[i], r[k] - r[i]]))
+        u = p - c[i]
+        for root in np.roots([q @ q - 1.0, -2.0 * (u @ q + r[i]), u @ u - r[i] ** 2]):
+            if abs(root.imag) > 1e-7 * max(1.0, abs(root.real)):
+                continue
+            t = root.real
+            x = p - t * q
+            offsets = x - c[list(triple)]
+            norms = np.hypot(offsets[:, 0], offsets[:, 1])
+            if np.any(r[list(triple)] + t < 0.0) or np.any(norms == 0.0):
+                continue
+            kkt = np.vstack([(offsets / norms[:, None]).T, np.ones(3)])
+            lam, *_ = np.linalg.lstsq(kkt, np.array([0.0, 0.0, 1.0]), rcond=None)
+            if lam.min() >= -1e-9 and np.allclose(kkt @ lam, [0.0, 0.0, 1.0], atol=1e-9):
+                candidates.append((x, t))
+    valid = [t for x, t in candidates if value(x) <= t + tol]
+    assert valid, "no support of at most three disks is optimal"
+    return max(valid)
 
 
 class TestDiskFamily:
@@ -87,6 +150,27 @@ class TestCommonPoint:
         with pytest.raises(ValueError):
             common_point(DiskFamily(()))
 
+    def test_witness_names_support_and_multipliers(self):
+        single = common_point(family((2, 3, 1.5)))
+        assert single.support == (0,) and single.multipliers == (1.0,)
+        pair = common_point(family((0, 0, 1), (5, 0, 1)))
+        assert pair.support == (0, 1) and pair.multipliers == (0.5, 0.5)
+        triple = common_point(gen_tangent_disks().rescaled(ENLARGEMENT_FACTOR))
+        assert triple.support == (0, 1, 2)
+        assert triple.multipliers == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-12)
+        assert triple.scale == 2.0
+
+    def test_no_admissible_basis_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            certificates,
+            "_support_optimum",
+            lambda cx, cy, r, support: (cx[support[0]], cy[support[0]], -r[support[0]], (1.0,))
+            if len(support) == 1
+            else None,
+        )
+        with pytest.raises(WitnessError):
+            common_point(family((0, 0, 1), (5, 0, 1)))
+
     def test_objective_is_convex(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
@@ -102,6 +186,207 @@ class TestCommonPoint:
             t = float(rng.uniform(0, 1))
             mx, my = t * x1 + (1 - t) * x2, t * y1 + (1 - t) * y2
             assert f(mx, my) <= t * f(x1, y1) + (1 - t) * f(x2, y2) + 1e-12
+
+
+class TestCheckWitness:
+    def test_accepts_solver_witnesses(self):
+        for df in (
+            family((2, 3, 1.5)),
+            family((0, 0, 1), (5, 0, 1)),
+            gen_tangent_disks(),
+            gen_tangent_disks().rescaled(ENLARGEMENT_FACTOR),
+        ):
+            check_witness(df, common_point(df))
+
+    def test_rejects_tampered_witnesses(self):
+        df = gen_tangent_disks()
+        w = common_point(df)
+        moved = Point(w.point.x + 1e-3, w.point.y)
+        tampered = [
+            CenterWitness(moved, w.slack, w.kind, w.support, w.multipliers, w.scale),
+            CenterWitness(w.point, w.slack - 1e-3, w.kind, w.support, w.multipliers, w.scale),
+            CenterWitness(w.point, w.slack, w.kind, (0, 1), (0.5, 0.5), w.scale),
+            CenterWitness(w.point, w.slack, w.kind, w.support, (0.5, 0.5, 0.5), w.scale),
+            CenterWitness(w.point, w.slack, w.kind, w.support, (1.2, -0.1, -0.1), w.scale),
+            CenterWitness(w.point, w.slack, w.kind, (0, 1, 3), w.multipliers, w.scale),
+            CenterWitness(w.point, w.slack, w.kind),
+        ]
+        for bad in tampered:
+            with pytest.raises(WitnessError):
+                check_witness(df, bad)
+
+    def test_rejects_balanced_value_at_non_optimal_point(self):
+        # On the bisector of two unit disks both are equally active, but
+        # off the segment between the centres their unit vectors do not cancel.
+        df = family((0, 0, 1), (4, 0, 1))
+        off = Point(2.0, 1.0)
+        slack = math.hypot(2.0, 1.0) - 1.0
+        with pytest.raises(WitnessError):
+            check_witness(df, CenterWitness(off, slack, "diametral", (0, 1), (0.5, 0.5), 4.0))
+
+    def test_rejects_fingerhut_witness(self):
+        ps, m = crossing_x()
+        with pytest.raises(WitnessError):
+            check_witness(diametral_family(m, ps), fingerhut_center(m, ps))
+
+
+class TestBruteForceCrossCheck:
+    @staticmethod
+    def random_families(count, seed):
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            n = int(rng.integers(2, 11))
+            if i % 4 == 0:
+                centers, radii = rng.uniform(0, 1, (n, 2)), rng.uniform(0.01, 1.0, n)
+            elif i % 4 == 1:
+                centers, radii = rng.uniform(0, 1, (n, 2)), rng.uniform(0.0, 0.2, n)
+            elif i % 4 == 2:
+                centers, radii = rng.normal(0, 1, (n, 2)), rng.exponential(1.0, n)
+            else:
+                # Integer data: ties, shared centres and cocircular supports.
+                centers, radii = np.round(rng.uniform(0, 4, (n, 2))), np.round(rng.uniform(0, 3, n))
+            yield family(*((float(x), float(y), float(rr)) for (x, y), rr in zip(centers, radii)))
+
+    @staticmethod
+    def assert_optimal(df):
+        w = common_point(df)
+        check_witness(df, w)
+        disks = df.scaled_disks()
+        assert abs(w.slack - brute_force_slack(disks)) <= 1e-9 * length_scale(disks)
+
+    def test_random_families(self):
+        for df in self.random_families(240, seed=11):
+            self.assert_optimal(df)
+
+    def test_diametral_families_of_local_matchings(self):
+        for i in range(40):
+            k = 2 + i % 2
+            ps = gen_random(6 + 2 * (i % 4), seed=30_000 + i)
+            m = k_local_search(ps, k)
+            for scale in (1.0, ENLARGEMENT_FACTOR):
+                self.assert_optimal(diametral_family(m, ps, scale))
+
+    @pytest.mark.parametrize(
+        "disks",
+        [
+            [(1, 2, 0.5)],
+            [(1, 2, 0.0)],
+            [(0, 0, 1)] * 3,
+            [(0, 0, 0)] * 4,
+            [(0, 0, 1), (0, 0, 2), (0, 0, 0.5)],
+            [(0, 0, 3), (0.5, 0, 1), (-1, 0.2, 0.3)],
+            [(0, 0, 2), (1, 0, 1)],
+            [(0, 0, 1), (1, 0, 0.2), (2, 0, 1), (3, 0, 0.1)],
+            [(0, 0, 0.5), (1, 0, 0.5), (2, 0, 0.5)],
+            [(0, 0, 0.5), (1, 1e-12, 0.5), (2, 0, 0.5)],
+            [(0, 0, 1.0), (1, 1e-12, 0.0), (2, 0, 1.0)],
+            [(1, 0, 0.1), (0, 1, 0.1), (-1, 0, 0.1), (0, -1, 0.1)],
+        ],
+        ids=[
+            "single",
+            "single-point",
+            "identical",
+            "identical-points",
+            "concentric",
+            "nested",
+            "internally-tangent",
+            "collinear",
+            "collinear-equal",
+            "collinear-within-1e-12",
+            "collinear-within-1e-12-point",
+            "cocircular",
+        ],
+    )
+    def test_degenerate_families(self, disks):
+        df = family(*disks)
+        try:
+            w = common_point(df)
+        except WitnessError:
+            return
+        check_witness(df, w)
+        assert abs(w.slack - brute_force_slack(df.scaled_disks())) <= 1e-9 * length_scale(
+            df.scaled_disks()
+        )
+
+
+class TestSimilarityInvariance:
+    @given(
+        st.lists(
+            st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(0, 1)), min_size=1, max_size=8
+        ),
+        st.floats(0, 2 * math.pi),
+        st.integers(-6, 6),
+        st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_translation_rotation_scaling_relabelling(self, disks, angle, exponent, shift, data):
+        factor = 10.0**exponent
+        perm = data.draw(st.permutations(range(len(disks))))
+        cos, sin = math.cos(angle), math.sin(angle)
+
+        def image(x, y):
+            return (
+                factor * (cos * x - sin * y + shift[0]),
+                factor * (sin * x + cos * y + shift[1]),
+            )
+
+        df = family(*disks)
+        w = common_point(df)
+        # Rounding is relative to the coordinates, so the family must not be
+        # tiny next to them.
+        assume(w.scale >= 1e-3)
+        moved = family(*((*image(*disks[j][:2]), factor * disks[j][2]) for j in perm))
+        v = common_point(moved)
+        unit = factor * w.scale
+        assert v.scale == pytest.approx(unit, rel=1e-9)
+        assert abs(v.slack - factor * w.slack) <= 1e-9 * unit
+        ix, iy = image(w.point.x, w.point.y)
+        assert math.hypot(v.point.x - ix, v.point.y - iy) <= 1e-6 * unit
+        # The support is unique when exactly its disks are active and none
+        # of them has a vanishing multiplier; then it maps through perm.
+        active = [
+            i
+            for i, d in enumerate(df.scaled_disks())
+            if distance(w.point, d.center) - d.radius >= w.slack - 1e-9 * w.scale
+        ]
+        if len(active) == len(w.support) and min(w.multipliers) > 1e-6:
+            assert sorted(perm[j] for j in v.support) == list(w.support)
+
+
+class TestScaleRelativeVerdicts:
+    def test_tiny_shy_tangent_triple_has_no_common_point(self):
+        shy = ENLARGEMENT_FACTOR - 1e-3
+        tiny = DiskFamily(
+            tuple(Disk(Point(d.center.x * 1e-6, d.center.y * 1e-6), d.radius * 1e-6)
+                  for d in gen_tangent_disks().disks),
+            shy,
+        )
+        w = common_point(tiny)
+        assert w.slack == pytest.approx(1e-9, rel=1e-6)
+        assert w.slack <= TOL.eps_opt  # an absolute test would accept it
+        assert not w.holds(TOL)
+
+    def test_unit_scale_verdicts(self):
+        tangent = gen_tangent_disks()
+        assert common_point(tangent.rescaled(ENLARGEMENT_FACTOR)).holds(TOL)
+        assert not common_point(tangent.rescaled(ENLARGEMENT_FACTOR - 1e-3)).holds(TOL)
+        assert not common_point(tangent).holds(TOL)
+
+    @pytest.mark.parametrize("factor", [1e-6, 1e6])
+    def test_certify_is_scale_invariant(self, factor):
+        for seed in range(5):
+            ps = gen_random(8, seed=95_000 + seed)
+            m = k_local_search(ps, 3)
+            scaled = PointSet([Point(p.x * factor, p.y * factor) for p in ps.points])
+            for kind in ("local2", "local3_sqrt2", "local3_fingerhut"):
+                cert = certify(ps, m, kind)
+                big = certify(scaled, m, kind)
+                assert big.witness.support == cert.witness.support
+                assert big.star_weight == pytest.approx(factor * cert.star_weight, rel=1e-9)
+                assert big.matching_weight == pytest.approx(
+                    factor * cert.matching_weight, rel=1e-12
+                )
 
 
 class TestStretchLemma:
@@ -217,6 +502,13 @@ class TestCertify:
                 assert cert.star_weight <= beta * cert.matching_weight + 1e-7
                 assert cert.oracle_weight <= cert.star_weight + 1e-9
             assert cert.matching_weight >= bound * cert.oracle_weight - 1e-9
+
+    def test_fingerhut_witness_has_no_support(self):
+        ps, m = crossing_x()
+        cert = certify(ps, m, "local3_fingerhut")
+        assert cert.witness.support == () and cert.witness.multipliers == ()
+        witness = certificate_to_dict(cert)["witness"]
+        assert witness["support"] == [] and witness["multipliers"] == []
 
     def test_locality_precondition_reports_subset(self):
         ps = PointSet([Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)])

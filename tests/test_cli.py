@@ -138,6 +138,9 @@ class TestCertifyCommand:
         assert code == 0
         cert = json.loads(out.read_text())
         assert cert["witness"]["slack"] < 0
+        # Both diagonals have the same diametral disk, so its centre is optimal.
+        assert cert["witness"]["support"] == [0]
+        assert cert["witness"]["multipliers"] == [1.0]
         for row in cert["per_edge_checks"]:
             assert row["star_sum"] <= row["bound"] + 1e-7
         root = ET.fromstring(svg.read_text())
