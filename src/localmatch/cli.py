@@ -14,7 +14,13 @@ import time
 from pathlib import Path
 
 from . import suite as suite_mod
-from .certificates import CertificateError, LocalityError, certify, diametral_family
+from .certificates import (
+    ENLARGEMENT_FACTOR,
+    CertificateError,
+    LocalityError,
+    certify,
+    diametral_family,
+)
 from .crossing import GeneralPositionError, full_crossing_report
 from .generators import (
     MinerConfig,
@@ -100,9 +106,10 @@ def cmd_certify(args) -> int:
     cert = certify(ps, m, kind, cap=args.cap)
     _write_json(args.output, certificate_to_dict(cert))
     if args.svg:
-        scale = {"local2": 2.0 / 3.0**0.5, "local3_sqrt2": 1.0, "local3_fingerhut": 1.0}[kind]
         base = diametral_family(m, ps, 1.0)
-        enlarged = base.rescaled(scale).scaled_disks() if scale != 1.0 else ()
+        enlarged = ()
+        if kind == "local2":
+            enlarged = base.rescaled(ENLARGEMENT_FACTOR).scaled_disks()
         alt = None
         if len(ps) <= 2 * args.cap:
             alt = optimal_matching(ps, "maximize", cap=args.cap)
@@ -176,14 +183,14 @@ def cmd_suite(args) -> int:
     scale = suite_mod.FULL if args.scale == "full" else suite_mod.SMOKE
     results, failures = suite_mod.run_suite(scale)
     summary = {
-        "scale": scale.name,
+        "scale": args.scale,
         "total": len(results),
         "failures": failures,
-        "checks": results,
+        "criteria": results,
     }
     if args.output:
         _write_json(args.output, summary)
-    print(f"{len(results)} checks, {failures} failures")
+    print(f"{len(results)} criteria, {failures} failures")
     return EXIT_OK if failures == 0 else EXIT_VERIFICATION
 
 
@@ -197,10 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, needs_input=True):
         if needs_input:
             p.add_argument("--input", required=True, help="instance file (JSON or CSV)")
+            p.add_argument(
+                "--cap", type=int, default=DEFAULT_ORACLE_CAP, help="oracle cap in edges (pairs)"
+            )
         p.add_argument("--output", default=None, help="write the result to this file")
-        p.add_argument(
-            "--cap", type=int, default=DEFAULT_ORACLE_CAP, help="oracle cap in edges (pairs)"
-        )
 
     p = sub.add_parser("solve", help="exact optimum matching")
     add_common(p)
@@ -240,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.01, help="short chord for circle family")
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("suite", help="run the module invariant suites")
+    p = sub.add_parser("suite", help="run the acceptance criteria")
     p.add_argument("--scale", choices=("smoke", "full"), default="smoke")
     p.add_argument("--output", default=None)
     p.set_defaults(fn=cmd_suite)

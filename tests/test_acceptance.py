@@ -1,376 +1,58 @@
-"""Acceptance criteria, one test per criterion.
-
-Each test prints a single PASS/FAIL line (run with -s to see them all) and
-enforces the stated tolerances and runtime budgets.
-
-Criterion 9 is the minimum-side contrast to the paper's local-maximum
-bounds: the alternating-circle construction (unit chords alternating with
-eps chords) is a 2-local minimum matching at least 10 times heavier than
-the global minimum.  It is stated at 23 pairs and eps = 0.01, the smallest
-pair count at which the construction holds, and the test pins the
-threshold from below as well: rematching two adjacent unit chords
-a1b1, a2b2 into b1a2 + a1b2 is shorter by ~3.6e-4 at 22 pairs and longer
-by ~1.4e-3 at 23.
+"""Acceptance criteria, one test per entry of ``localmatch.suite.CRITERIA``
+(the table ``localmatch suite --scale full`` runs), each printing one
+PASS/FAIL line (run with -s to see them all).
 """
 
-import math
-import time
 import warnings
 
-import numpy as np
-import pytest
-
-from localmatch.certificates import (
-    ENLARGEMENT_FACTOR,
-    certify,
-    common_point,
-)
-from localmatch.crossing import (
-    convex_diagonal_matching,
-    find_pairwise_crossing,
-    halfplane_balance,
-    is_pairwise_crossing,
-    verify_globally_maximum,
-)
-from localmatch.generators import (
-    LOWER_BOUNDS,
-    MinerConfig,
-    gen_circle_alternating,
-    gen_convex,
-    gen_intersecting_disks,
-    gen_random,
-    gen_tangent_disks,
-    mine_low_ratio,
-)
-from localmatch.geometry import Point, distance
-from localmatch.matching import (
-    Matching,
-    cycle_decomposition,
-    enumerate_matchings,
-    is_k_local_max,
-    is_k_local_min,
-    k_local_search,
-    optimal_matching,
-    weight,
-)
-
-SQRT3 = math.sqrt(3.0)
+from localmatch.suite import CRITERIA, FULL, evaluate
 
 
-def announce(number: int, ok: bool, detail: str) -> None:
-    print(f"\n[criterion {number}] {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-def sizes(count: int, lo: int = 4, hi: int = 10):
-    span = [n for n in range(lo, hi + 1) if n % 2 == 0]
-    for i in range(count):
-        yield span[i % len(span)]
+def check_criterion(number: int) -> None:
+    """Run a criterion at full scale: warn on each missed soft target (only
+    criterion 8, the miner, has them) and assert every hard check by name."""
+    criterion = CRITERIA[number - 1]
+    verdict, elapsed = evaluate(criterion, FULL)
+    status = "FAIL" if verdict.failed else "PASS"
+    print(f"\n[criterion {number}] {status} - {verdict.detail}, {elapsed:.1f}s")
+    for name in verdict.missed:
+        warnings.warn(f"criterion {number} soft target missed: {name}; {verdict.detail}")
+    assert not verdict.failed, (
+        f"criterion {number} ({criterion.name}) failed: {', '.join(verdict.failed)}"
+    )
 
 
 def test_criterion_1_oracle_equivalence():
-    start = time.perf_counter()
-    worst = 0.0
-    for i, n in enumerate(sizes(500)):
-        ps = gen_random(n, seed=100_000 + i)
-        w_dp = weight(optimal_matching(ps, "maximize"), ps)
-        w_enum = max(weight(m, ps) for m in enumerate_matchings(ps))
-        worst = max(worst, abs(w_dp - w_enum) / max(abs(w_enum), 1e-30))
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-9 and elapsed < 10.0
-    announce(1, ok, f"500 instances, max relative gap {worst:.3e}, {elapsed:.1f}s")
-    assert worst <= 1e-9
-    assert elapsed < 10.0
+    check_criterion(1)
 
 
 def test_criterion_2_k_local_theorem():
-    start = time.perf_counter()
-    min_ratio_margin = math.inf
-    min_cycle_margin = math.inf
-    searches = 0
-    for k in (2, 3, 4):
-        for i, n in enumerate(sizes(200, lo=6, hi=12)):
-            ps = gen_random(n, seed=110_000 + 1000 * k + i)
-            m = k_local_search(ps, k)
-            opt = optimal_matching(ps, "maximize")
-            ratio = weight(m, ps) / weight(opt, ps)
-            min_ratio_margin = min(min_ratio_margin, ratio - (k - 1) / k)
-            for cycle in cycle_decomposition(m, opt).cycles:
-                w_m = sum(ps.dist[a][b] for a, b in cycle.first_edges())
-                w_star = sum(ps.dist[a][b] for a, b in cycle.second_edges())
-                min_cycle_margin = min(min_cycle_margin, k * w_m - (k - 1) * w_star)
-            searches += 1
-    elapsed = time.perf_counter() - start
-    ok = min_ratio_margin >= -1e-9 and min_cycle_margin >= -1e-9 and elapsed < 60.0
-    announce(
-        2,
-        ok,
-        f"{searches} searches over k in {{2,3,4}}, min ratio margin "
-        f"{min_ratio_margin:.3e}, min cycle margin {min_cycle_margin:.3e}, {elapsed:.1f}s",
-    )
-    assert min_ratio_margin >= -1e-9
-    assert min_cycle_margin >= -1e-9
-    assert elapsed < 60.0
+    check_criterion(2)
 
 
 def test_criterion_3_two_local_bound_and_certificates():
-    start = time.perf_counter()
-    bound = math.sqrt(3.0 / 7.0)
-    min_ratio = math.inf
-    min_edge_margin = math.inf
-    for i, n in enumerate(sizes(300, lo=6, hi=12)):
-        ps = gen_random(n, seed=120_000 + i)
-        m = k_local_search(ps, 2)
-        assert is_k_local_max(ps, m, 2).is_local_max
-        ratio = weight(m, ps) / weight(optimal_matching(ps, "maximize"), ps)
-        min_ratio = min(min_ratio, ratio)
-        cert = certify(ps, m, "local2")
-        for _, lhs, rhs in cert.per_edge_checks:
-            min_edge_margin = min(min_edge_margin, rhs + 1e-7 - lhs)
-    elapsed = time.perf_counter() - start
-    ok = min_ratio >= bound - 1e-9 and min_edge_margin >= 0.0 and elapsed < 120.0
-    announce(
-        3,
-        ok,
-        f"300 verified 2-local maxima, min ratio {min_ratio:.6f} >= sqrt(3/7) = "
-        f"{bound:.6f}, min per-edge margin {min_edge_margin:.3e}, {elapsed:.1f}s",
-    )
-    assert min_ratio >= bound - 1e-9
-    assert min_edge_margin >= 0.0
-    assert elapsed < 120.0
+    check_criterion(3)
 
 
 def test_criterion_4_three_local_bounds_and_certificates():
-    start = time.perf_counter()
-    bound = SQRT3 / 2.0
-    min_ratio = math.inf
-    min_sqrt2_margin = math.inf
-    max_fingerhut_slack = -math.inf
-    for i, n in enumerate(sizes(300, lo=6, hi=12)):
-        ps = gen_random(n, seed=130_000 + i)
-        m = k_local_search(ps, 3)
-        assert is_k_local_max(ps, m, 3).is_local_max
-        ratio = weight(m, ps) / weight(optimal_matching(ps, "maximize"), ps)
-        min_ratio = min(min_ratio, ratio)
-        cert = certify(ps, m, "local3_sqrt2")
-        assert cert.beta == pytest.approx(math.sqrt(2.0))
-        for _, lhs, rhs in cert.per_edge_checks:
-            min_sqrt2_margin = min(min_sqrt2_margin, rhs + 1e-7 - lhs)
-        fcert = certify(ps, m, "local3_fingerhut")
-        max_fingerhut_slack = max(max_fingerhut_slack, fcert.witness.slack)
-    elapsed = time.perf_counter() - start
-    ok = (
-        min_ratio >= bound - 1e-9
-        and min_sqrt2_margin >= 0.0
-        and max_fingerhut_slack <= 1e-7
-        and elapsed < 180.0
-    )
-    announce(
-        4,
-        ok,
-        f"300 verified 3-local maxima, min ratio {min_ratio:.6f} >= sqrt(3)/2 = "
-        f"{bound:.6f}, min sqrt(2)-chain margin {min_sqrt2_margin:.3e}, max "
-        f"fingerhut slack {max_fingerhut_slack:.3e}, {elapsed:.1f}s",
-    )
-    assert min_ratio >= bound - 1e-9
-    assert min_sqrt2_margin >= 0.0
-    assert max_fingerhut_slack <= 1e-7
-    assert elapsed < 180.0
+    check_criterion(4)
 
 
 def test_criterion_5_disk_enlargement():
-    start = time.perf_counter()
-    worst_slack = -math.inf
-    for i in range(1000):
-        df = gen_intersecting_disks(3 + i % 8, seed=140_000 + i)
-        witness = common_point(df.rescaled(ENLARGEMENT_FACTOR))
-        worst_slack = max(worst_slack, witness.slack)
-    tangent = gen_tangent_disks()
-    tight = common_point(tangent.rescaled(ENLARGEMENT_FACTOR))
-    shy = common_point(tangent.rescaled(ENLARGEMENT_FACTOR - 1e-3))
-    witness_err = distance(tight.point, Point(1.0, 1.0 / SQRT3))
-    elapsed = time.perf_counter() - start
-    ok = (
-        worst_slack <= 1e-7
-        and shy.slack > 1e-4
-        and tight.slack <= 1e-7
-        and witness_err <= 1e-5
-        and elapsed < 30.0
-    )
-    announce(
-        5,
-        ok,
-        f"1000 enlarged families, max slack {worst_slack:.3e}; tangent slack "
-        f"{tight.slack:.3e} at witness error {witness_err:.1e}; under-scaled slack "
-        f"{shy.slack:.3e}, {elapsed:.1f}s",
-    )
-    assert worst_slack <= 1e-7
-    assert shy.slack > 1e-4
-    assert tight.slack <= 1e-7
-    assert witness_err <= 1e-5
-    assert elapsed < 30.0
+    check_criterion(5)
 
 
 def test_criterion_6_extremal_lemmas():
-    start = time.perf_counter()
-    grid_excess = 0.0
-    for r in (0.25, 0.5, 1.0, ENLARGEMENT_FACTOR, 2.0, 4.0):
-        xs = np.linspace(0.0, r, 100_000 // 6)
-        s = r * r + 1.0
-        vals = np.sqrt(s + 2.0 * xs) + np.sqrt(s - 2.0 * xs)
-        grid_excess = max(grid_excess, float(vals.max()) - 2.0 * math.sqrt(s))
-    alphas = np.linspace(0.0, math.pi, 100_000)
-    dvals = 2.0 * np.sin((4.0 * math.pi - 3.0 * alphas) / 6.0) / SQRT3
-    grid_excess = max(grid_excess, float(dvals.max()) - 2.0 / SQRT3)
-
-    rng = np.random.default_rng(150_000)
-    statement_excess = 0.0
-    for _ in range(10_000):
-        a = Point(*rng.uniform(-5, 5, 2))
-        b = Point(*rng.uniform(-5, 5, 2))
-        ab = distance(a, b)
-        if ab < 1e-6:
-            continue
-        r = float(rng.uniform(0.01, 3.0))
-        rho = float(rng.uniform(0.0, 1.0)) * r * ab / 2.0
-        ang = float(rng.uniform(0.0, 2.0 * math.pi))
-        p = Point(
-            (a.x + b.x) / 2.0 + rho * math.cos(ang),
-            (a.y + b.y) / 2.0 + rho * math.sin(ang),
-        )
-        statement_excess = max(
-            statement_excess,
-            distance(p, a) + distance(p, b) - math.sqrt(r * r + 1.0) * ab,
-        )
-    elapsed = time.perf_counter() - start
-    ok = grid_excess <= 1e-9 and statement_excess <= 1e-9
-    announce(
-        6,
-        ok,
-        f"grid max excess {grid_excess:.3e} over 1e5 samples, statement max excess "
-        f"{statement_excess:.3e} over 1e4 configurations, {elapsed:.1f}s",
-    )
-    assert grid_excess <= 1e-9
-    assert statement_excess <= 1e-9
+    check_criterion(6)
 
 
 def test_criterion_7_pairwise_crossing_theorems():
-    start = time.perf_counter()
-    found_count = 0
-    for i, n in enumerate(sizes(500)):
-        ps = gen_random(n, seed=160_000 + i)
-        found, count = find_pairwise_crossing(ps)
-        assert count in (0, 1)
-        if found is None:
-            continue
-        found_count += 1
-        assert halfplane_balance(ps, found)
-        assert is_k_local_max(ps, found, 2).is_local_max
-        assert verify_globally_maximum(ps, found)
-    convex_ok = 0
-    n_convex = 50
-    for i in range(n_convex):
-        ps = gen_convex(4 + 2 * (i % 4), seed=165_000 + i)
-        m = convex_diagonal_matching(ps)
-        assert is_pairwise_crossing(ps, m).is_pairwise_crossing
-        _, count = find_pairwise_crossing(ps)
-        assert count == 1
-        convex_ok += 1
-    elapsed = time.perf_counter() - start
-    ok = convex_ok == n_convex and elapsed < 60.0
-    announce(
-        7,
-        ok,
-        f"500 random sets ({found_count} admit a crossing matching, all balanced, "
-        f"2-local and globally maximum); {convex_ok}/{n_convex} convex sets unique, "
-        f"{elapsed:.1f}s",
-    )
-    assert elapsed < 60.0
+    check_criterion(7)
 
 
 def test_criterion_8_upper_bound_mining():
-    # The targets are existence claims reproduced by bounded heuristic
-    # search, so a missed target warns instead of failing.  Budgets are
-    # sized to the 10-minute box at ~0.13-0.31 ms/iteration.
-    results = []
-    for k, n, seed, restarts, budget, target in (
-        (2, 6, 7, 24, 4000, 0.94),
-        (3, 8, 2, 16, 2500, 0.99),
-    ):
-        start = time.perf_counter()
-        cfg = MinerConfig(
-            k=k,
-            num_points=n,
-            budget_iterations=budget,
-            restarts=restarts,
-            seed=seed,
-            step_scale=0.15,
-        )
-        mined = mine_low_ratio(cfg)
-        elapsed = time.perf_counter() - start
-        assert elapsed < 600.0
-        # Hard invariants: the mined matching is k-local maximum and the
-        # proved lower bound holds.
-        assert is_k_local_max(mined.point_set, mined.local_matching, k).is_local_max
-        assert mined.ratio >= LOWER_BOUNDS[k] - 1e-9
-        hit = mined.ratio < target
-        results.append((k, mined.ratio, target, hit, elapsed))
-        if not hit:
-            warnings.warn(
-                f"miner soft-failure: k={k} best ratio {mined.ratio:.6f} "
-                f"did not reach target {target}"
-            )
-    ok = all(hit for _, _, _, hit, _ in results)
-    detail = "; ".join(
-        f"k={k}: ratio {ratio:.6f} (target < {target}{'' if hit else ', SOFT MISS'}) "
-        f"in {elapsed:.0f}s"
-        for k, ratio, target, hit, elapsed in results
-    )
-    announce(8, ok, detail)
-
-
-def adjacent_unit_chords(red: Matching, pairs: int, subset) -> bool:
-    """True when subset is two unit chords (2i, 2i+1) of the alternating
-    circle that are neighbours around it, the wrap-around pair included."""
-    if subset is None or len(subset) != 2 or not set(subset) <= set(red.pairs):
-        return False
-    gap = (subset[1][0] - subset[0][0]) // 2 % pairs
-    return gap in (1, pairs - 1)
+    check_criterion(8)
 
 
 def test_criterion_9_circle_construction():
-    start = time.perf_counter()
-    pairs, eps = 23, 0.01
-    ps, red = gen_circle_alternating(pairs, eps)
-    red_weight = weight(red, ps)
-    eps_matching = Matching(
-        [(2 * i + 1, (2 * i + 2) % len(ps)) for i in range(pairs)]
-    )
-    # The eps-matching upper-bounds the global minimum, so the factor below
-    # is a lower bound on the true blow-up.
-    factor = red_weight / weight(eps_matching, ps)
-    report = is_k_local_min(ps, red, 2)
-    # With one pair fewer the circle is too curved: rematching two adjacent
-    # unit chords a1b1, a2b2 into b1a2 + a1b2 changes the weight by
-    # eps + |a1b2| - 2, which is about -3.6e-4 at 22 pairs and +1.4e-3 at 23.
-    below_ps, below_red = gen_circle_alternating(pairs - 1, eps)
-    below = is_k_local_min(below_ps, below_red, 2).violating_subset
-    below_ok = adjacent_unit_chords(below_red, pairs - 1, below)
-    elapsed = time.perf_counter() - start
-    ok = factor >= 10.0 and report.is_local_max and below_ok and elapsed < 10.0
-    announce(
-        9,
-        ok,
-        f"min-side blow-up factor {factor:.1f} (>= 10), 2-local minimum at "
-        f"{pairs} pairs: {report.is_local_max}, at {pairs - 1} pairs violated by "
-        f"adjacent unit chords {below}: {below_ok}, {elapsed:.1f}s",
-    )
-    assert factor >= 10.0
-    assert elapsed < 10.0
-    assert report.is_local_max, (
-        f"gen_circle_alternating({pairs}, {eps}) is not 2-local minimum: "
-        f"violating subset {report.violating_subset}"
-    )
-    assert below_ok, (
-        f"gen_circle_alternating({pairs - 1}, {eps}) should be violated by two "
-        f"adjacent unit chords, got {below}"
-    )
+    check_criterion(9)

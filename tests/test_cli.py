@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface and file formats."""
 
+import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from localmatch import suite as suite_mod
 from localmatch.cli import build_parser, main
 from localmatch.generators import gen_random
 from localmatch.io import (
@@ -16,6 +18,8 @@ from localmatch.io import (
     save_instance,
 )
 from localmatch.matching import DEFAULT_ORACLE_CAP, optimal_matching
+from localmatch.suite import CRITERIA, Criterion, Verdict
+from test_acceptance import check_criterion
 
 
 SQUARE = {"points": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]}
@@ -86,11 +90,15 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize(
         "argv",
-        [[c, "--input", "x.json"] for c in ("solve", "verify", "certify", "crossing")]
-        + [["mine"], ["gen"]],
+        [[c, "--input", "x.json"] for c in ("solve", "verify", "certify", "crossing")],
     )
     def test_cap_default_is_oracle_cap(self, argv):
         assert build_parser().parse_args(argv).cap == DEFAULT_ORACLE_CAP
+
+    @pytest.mark.parametrize("command", ["mine", "gen"])
+    def test_cap_rejected_without_oracle(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--cap", "5"])
 
 
 class TestVerifyCommand:
@@ -232,21 +240,49 @@ class TestSuiteCommand:
         assert code == 0
         summary = json.loads(out.read_text())
         assert summary["failures"] == 0
-        assert {c["name"] for c in summary["checks"]} >= {
+        assert [c["name"] for c in summary["criteria"]] == [
             "oracle_equivalence",
             "k_local_theorem",
+            "local2_bound_and_certificates",
+            "local3_bounds_and_certificates",
             "disk_enlargement",
+            "extremal_lemmas",
             "pairwise_crossing",
-        }
-        assert printed.count("PASS") == summary["total"]
+            "miner",
+            "circle_construction",
+        ]
+        assert [c["number"] for c in summary["criteria"]] == list(range(1, 10))
+        for entry in summary["criteria"]:
+            assert entry["checks"] and all(entry["checks"].values())
+        assert printed.count("PASS") == summary["total"] == 9
 
     def test_failing_check_gives_nonzero_exit(self, monkeypatch, capsys):
-        from localmatch import suite as suite_mod
-
-        monkeypatch.setattr(
-            suite_mod,
-            "CHECKS",
-            [("always_fails", lambda scale: (False, "injected failure"))],
+        failing = Criterion(
+            0, "always_fails", None, lambda scale: Verdict({"injected": False}, "injected failure")
         )
+        monkeypatch.setattr(suite_mod, "CRITERIA", [failing])
         assert main(["suite", "--scale", "smoke"]) == 3
         assert "FAIL always_fails" in capsys.readouterr().out
+
+    def test_failed_hard_check_fails_cli_and_acceptance_test(self, monkeypatch, capsys):
+        # Criterion 9 with a locality oracle that rejects the 23-pair circle:
+        # exactly its "2-local minimum at 23 pairs" check fails.
+        real = suite_mod.is_k_local_min
+
+        def rejects_23_pairs(ps, m, k):
+            report = real(ps, m, k)
+            if len(ps) == 46:
+                report = dataclasses.replace(report, violating_subset=((0, 1), (2, 3)))
+            return report
+
+        monkeypatch.setattr(suite_mod, "is_k_local_min", rejects_23_pairs)
+        monkeypatch.setattr(suite_mod, "CRITERIA", [CRITERIA[8]])
+        assert main(["suite", "--scale", "smoke"]) == 3
+        printed = capsys.readouterr().out
+        assert "FAIL circle_construction" in printed
+        assert "; failed: 2-local minimum at 23 pairs [" in printed
+        with pytest.raises(AssertionError) as failure:
+            check_criterion(9)
+        assert str(failure.value).splitlines()[0] == (
+            "criterion 9 (circle_construction) failed: 2-local minimum at 23 pairs"
+        )
