@@ -15,6 +15,7 @@ from .certificates import (
     LocalityError,
     WitnessError,
     certify,
+    check_fingerhut_witness,
     check_witness,
     common_point,
     diametral_family,
@@ -52,10 +53,7 @@ from .geometry import (
     diametral_disk,
     disks_intersect,
     distance,
-    circle_pair_points,
     endpoint_bound,
-    fermat_point,
-    innermost_point,
     orientation,
     segments_cross,
 )

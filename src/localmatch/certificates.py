@@ -9,9 +9,10 @@ an exact solver pivots on violated disks over bases of at most three disks
 with closed-form optima; the witness carries its support and convex
 multipliers, so `check_witness` re-verifies optimality without the solver.
 For the normalized ellipse radius, whose 2- and 3-supports have no closed
-form, multi-start Polyak subgradient descent is polished and certified
-optimal through the active-set KKT conditions.  Slack verdicts are relative
-to the instance's length scale.
+form, an active-set Newton method with exact quadratic steps finds a witness
+that carries support and multipliers too, re-verified by the same check
+(`check_fingerhut_witness`).  Slack verdicts are relative to the instance's
+length scale.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Literal, Optional
 
 from .geometry import DEFAULT_TOL, Disk, Point, Segment, Tolerance, diametral_disk, distance
 from .matching import (
@@ -43,6 +44,7 @@ __all__ = [
     "diametral_family",
     "common_point",
     "check_witness",
+    "check_fingerhut_witness",
     "fingerhut_center",
     "star_weight",
     "certify",
@@ -100,11 +102,11 @@ class DiskFamily:
 class CenterWitness:
     """A witness point and its slack, the objective's value there.
 
-    A disk witness measures slack in its family's length unit `scale` and
-    names its optimal basis: `support` lists disks active at the point, and
-    `multipliers` the convex weights under which their outward unit vectors
-    sum to zero.  Fingerhut slack is a ratio, so its scale is 1 and its
-    support and multipliers are empty.
+    A witness names its optimal basis: `support` lists the pieces active at
+    the point (disks of the family, or edges of the matching as indices into
+    its pairs), and `multipliers` the convex weights under which their
+    gradients sum to zero.  A disk witness measures slack in its family's
+    length unit `scale`; Fingerhut slack is a ratio, so its scale is 1.
     """
 
     point: Point
@@ -141,26 +143,6 @@ _PIVOT_RTOL = 1e-12
 def _disk_coordinates(df: DiskFamily) -> tuple[list[float], list[float], list[float]]:
     disks = df.scaled_disks()
     return [d.center.x for d in disks], [d.center.y for d in disks], [d.radius for d in disks]
-
-
-def _length_scale(xs: Sequence[float], ys: Sequence[float], radii: Sequence[float]) -> float:
-    """Largest distance between two centres, or largest radius: the unit in
-    which slack is judged, unchanged by rigid motions and relabelling."""
-    n = len(xs)
-    return max(
-        max(radii),
-        max(
-            (math.hypot(xs[i] - xs[j], ys[i] - ys[j]) for i in range(n) for j in range(i + 1, n)),
-            default=0.0,
-        ),
-    )
-
-
-def _slack_tolerance(rel: float, scale: float, cx, cy, r) -> float:
-    """rel in the family's length unit, floored by the rounding of
-    coordinates that lie far from the origin relative to that unit."""
-    magnitude = max(max(map(abs, cx)), max(map(abs, cy)), max(r))
-    return rel * scale + 16.0 * math.ulp(magnitude)
 
 
 def _ascending_roots(a: float, b: float, c: float) -> list[float]:
@@ -291,360 +273,305 @@ def _pivot_disks(cx, cy, r, delta: float):
     raise WitnessError(f"pivot bound exceeded on {n} disks")
 
 
-def check_witness(df: DiskFamily, witness: CenterWitness, tol: Tolerance = DEFAULT_TOL) -> None:
-    """Re-verify, without the solver, that a disk witness minimizes
-    max_i (|x - c_i| - r_i) over the scaled family.
+class _Pieces:
+    """Convex pieces f_m(x) = w_m * sum_p |x - p| - r_m, each a weighted sum
+    of distances to one or two foci p: a disk |x - c| - r, or a Fingerhut
+    ellipse (|x - a| + |x - b|) / |ab| - 2/sqrt(3), whose value is slack.
 
-    It does when every support disk is active at the point, the multipliers
-    are nonnegative and sum to 1, the multiplier-weighted outward unit
-    vectors of the support sum to zero, so 0 is a subgradient, and no disk
-    exceeds the slack.  Lengths are compared within atol, eps_geom in the
-    family's length unit, and unit vectors at that resolution: moving the
-    point by atol turns the unit vector of a centre at distance d by up to
-    atol / d, and a centre within atol is an apex, where every vector of
-    norm at most 1 is a subgradient.  Raises WitnessError naming the first
+    `length` is the unit in which point tolerances are judged, unchanged by
+    rigid motions and relabelling: the largest distance between two foci,
+    or the largest of `radii`.  Every piece's gradient has norm at most
+    `lipschitz`.
+    """
+
+    def __init__(self, foci, weights, offsets, radii):
+        self.foci, self.weights, self.offsets = foci, weights, offsets
+        points = [p for fs in foci for p in fs]
+        spans = (math.dist(p, q) for p, q in itertools.combinations(points, 2))
+        self.length = max(max(radii), max(spans, default=0.0))
+        self.magnitude = max(max(abs(c) for p in points for c in p), max(radii))
+        self.lipschitz = max(w * len(fs) for fs, w in zip(foci, weights))
+
+    def tolerance(self, rel: float) -> float:
+        """rel in the length unit, floored by the rounding of coordinates
+        that lie far from the origin relative to that unit."""
+        return rel * self.length + 16.0 * math.ulp(self.magnitude)
+
+    def values(self, x: float, y: float) -> list[float]:
+        return [
+            w * sum(math.hypot(x - px, y - py) for px, py in fs) - r
+            for fs, w, r in zip(self.foci, self.weights, self.offsets)
+        ]
+
+    def derivatives(self, x: float, y: float):
+        """(value, gradient, Hessian (xx, xy, yy)) of every piece at (x, y);
+        a focus within the rounding of the coordinates counts as at the
+        point, where it contributes the subgradient 0 and no curvature."""
+        out, near = [], self.tolerance(0.0)
+        for fs, w, r in zip(self.foci, self.weights, self.offsets):
+            v = gx = gy = hxx = hxy = hyy = 0.0
+            for px, py in fs:
+                dx, dy = x - px, y - py
+                d = math.hypot(dx, dy)
+                v += d
+                if d > near:
+                    ux, uy, c = dx / d, dy / d, w / d
+                    gx, gy = gx + ux, gy + uy
+                    hxx, hxy, hyy = hxx + uy * uy * c, hxy - ux * uy * c, hyy + ux * ux * c
+            out.append((w * v - r, (w * gx, w * gy), (hxx, hxy, hyy)))
+        return out
+
+
+def _disk_pieces(cx, cy, r) -> _Pieces:
+    return _Pieces([((x, y),) for x, y in zip(cx, cy)], [1.0] * len(r), r, r)
+
+
+def _ellipse_pieces(m: Matching, ps: PointSet) -> _Pieces:
+    return _Pieces(
+        [(ps.coords[i], ps.coords[j]) for i, j in m.pairs],
+        [1.0 / ps.dist[i][j] for i, j in m.pairs],
+        [ENLARGEMENT_FACTOR] * len(m),
+        [0.0],
+    )
+
+
+def _check_pieces(pieces: _Pieces, witness: CenterWitness, tol: Tolerance) -> None:
+    """Re-verify, without the solver, that the witness point minimizes
+    max_m f_m with value `witness.slack`.
+
+    It does when the slack is the largest piece value at the point, every
+    support piece is active there, the multipliers are nonnegative and sum
+    to 1, and the multiplier-weighted gradients of the support sum to zero,
+    so 0 is a subgradient.  The point may be off by atol, eps_geom in the
+    pieces' length unit, so values are compared within atol * lipschitz,
+    and each focus at distance d turns its unit vector by up to atol / d; a
+    focus within atol is an apex, where every vector of norm at most 1 is a
+    subgradient of its distance.  Raises WitnessError naming the first
     condition that fails.
     """
-    cx, cy, r = _disk_coordinates(df)
-    atol = _slack_tolerance(tol.eps_geom, _length_scale(cx, cy, r), cx, cy, r)
+    atol = pieces.tolerance(tol.eps_geom)
+    vtol = atol * pieces.lipschitz
     support, lam = witness.support, witness.multipliers
+    n = len(pieces.foci)
     if (
         not support
         or len(lam) != len(support)
         or len(set(support)) != len(support)
-        or not all(0 <= i < len(r) for i in support)
+        or not all(0 <= i < n for i in support)
     ):
         raise WitnessError(f"malformed support {support} with multipliers {lam}")
     x, y = witness.point.x, witness.point.y
-    vals = [math.hypot(x - cx[i], y - cy[i]) - r[i] for i in range(len(r))]
-    top = max(range(len(vals)), key=vals.__getitem__)
-    if abs(vals[top] - witness.slack) > atol:
+    vals = pieces.values(x, y)
+    top = max(range(n), key=vals.__getitem__)
+    if abs(vals[top] - witness.slack) > vtol:
         raise WitnessError(
-            f"disk {top} has slack {vals[top]:.6e}, witness reports {witness.slack:.6e}"
+            f"piece {top} has slack {vals[top]:.6e}, witness reports {witness.slack:.6e}"
         )
     for i in support:
-        if vals[i] < witness.slack - atol:
-            raise WitnessError(f"support disk {i} is not active: slack {vals[i]:.6e}")
+        if vals[i] < witness.slack - vtol:
+            raise WitnessError(f"support piece {i} is not active: slack {vals[i]:.6e}")
     if min(lam) < -tol.eps_geom or abs(sum(lam) - 1.0) > tol.eps_geom:
         raise WitnessError(f"multipliers {lam} are not convex weights")
     gx = gy = room = 0.0
     for i, l in zip(support, lam):
-        dx, dy = x - cx[i], y - cy[i]
-        d = math.hypot(dx, dy)
-        if d <= atol:
-            room += l
-            continue
-        room += l * atol / d
-        gx += l * dx / d
-        gy += l * dy / d
-    if math.hypot(gx, gy) > room + tol.eps_geom:
-        raise WitnessError(f"weighted unit vectors leave residual {math.hypot(gx, gy):.3e}")
-
-
-# ---------------------------------------------------------------------------
-# Ellipse witness: convex pointwise-max solver
-# ---------------------------------------------------------------------------
-
-
-class _EllipseRatioObjective:
-    """max_i (|x - a_i| + |x - b_i|) / |a_i b_i| over the matching's edges."""
-
-    def __init__(self, edges: Sequence[tuple[Point, Point]]):
-        self.ax = [a.x for a, _ in edges]
-        self.ay = [a.y for a, _ in edges]
-        self.bx = [b.x for _, b in edges]
-        self.by = [b.y for _, b in edges]
-        self.len = [
-            math.hypot(self.ax[i] - self.bx[i], self.ay[i] - self.by[i])
-            for i in range(len(edges))
-        ]
-        self.n = len(edges)
-
-    def scale_hint(self) -> float:
-        xs = self.ax + self.bx
-        ys = self.ay + self.by
-        return max(max(xs) - min(xs) + max(ys) - min(ys), 1e-9)
-
-    def values(self, x: float, y: float) -> list[float]:
-        return [
-            (
-                math.hypot(x - self.ax[i], y - self.ay[i])
-                + math.hypot(x - self.bx[i], y - self.by[i])
-            )
-            / self.len[i]
-            for i in range(self.n)
-        ]
-
-    def _unit(self, x: float, y: float, px: float, py: float) -> tuple[float, float]:
-        dx = x - px
-        dy = y - py
-        d = math.hypot(dx, dy)
-        if d <= 1e-300:
-            return 0.0, 0.0
-        return dx / d, dy / d
-
-    def gradient(self, i: int, x: float, y: float) -> tuple[float, float]:
-        uax, uay = self._unit(x, y, self.ax[i], self.ay[i])
-        ubx, uby = self._unit(x, y, self.bx[i], self.by[i])
-        return (uax + ubx) / self.len[i], (uay + uby) / self.len[i]
-
-    def hessian(self, i: int, x: float, y: float) -> tuple[float, float, float]:
-        hxx = hxy = hyy = 0.0
-        for px, py in ((self.ax[i], self.ay[i]), (self.bx[i], self.by[i])):
-            dx = x - px
-            dy = y - py
+        lw = l * pieces.weights[i]
+        for px, py in pieces.foci[i]:
+            dx, dy = x - px, y - py
             d = math.hypot(dx, dy)
-            if d <= 1e-300:
+            if d <= atol:
+                room += lw
                 continue
-            ux, uy = dx / d, dy / d
-            hxx += (1.0 - ux * ux) / d
-            hxy += -ux * uy / d
-            hyy += (1.0 - uy * uy) / d
-        L = self.len[i]
-        return hxx / L, hxy / L, hyy / L
-
-    def piece_argmin(self, i: int, x: float, y: float) -> tuple[float, float]:
-        # Any point of segment a_i b_i minimizes the piece; take the clamped
-        # projection of (x, y) to stay close to the current iterate.
-        axi, ayi, bxi, byi = self.ax[i], self.ay[i], self.bx[i], self.by[i]
-        vx, vy = bxi - axi, byi - ayi
-        denom = vx * vx + vy * vy
-        t = ((x - axi) * vx + (y - ayi) * vy) / denom if denom > 0 else 0.0
-        t = min(1.0, max(0.0, t))
-        return axi + t * vx, ayi + t * vy
-
-    def starts(self) -> list[tuple[float, float]]:
-        pts = [
-            ((self.ax[i] + self.bx[i]) / 2.0, (self.ay[i] + self.by[i]) / 2.0)
-            for i in range(self.n)
-        ]
-        xs = self.ax + self.bx
-        ys = self.ay + self.by
-        pts.append((sum(xs) / len(xs), sum(ys) / len(ys)))
-        return pts
+            room += lw * atol / d
+            gx += lw * dx / d
+            gy += lw * dy / d
+    if math.hypot(gx, gy) > room + tol.eps_geom * pieces.lipschitz:
+        raise WitnessError(f"weighted gradients leave residual {math.hypot(gx, gy):.3e}")
 
 
-def _solve2(a11, a12, a21, a22, b1, b2):
-    det = a11 * a22 - a12 * a21
-    if abs(det) <= 1e-300:
-        return None
-    return (b1 * a22 - b2 * a12) / det, (a11 * b2 - a21 * b1) / det
+def check_witness(df: DiskFamily, witness: CenterWitness, tol: Tolerance = DEFAULT_TOL) -> None:
+    """Re-verify, without the solver, that a disk witness minimizes
+    max_i (|x - c_i| - r_i) over the scaled family (see `_check_pieces`);
+    lengths are compared within eps_geom in the family's length unit.
+    """
+    if witness.kind == "fingerhut":
+        raise WitnessError("a Fingerhut witness is checked by check_fingerhut_witness")
+    _check_pieces(_disk_pieces(*_disk_coordinates(df)), witness, tol)
 
 
-def _solve3(m, b):
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    if abs(det) <= 1e-300:
-        return None
-    out = []
-    for col in range(3):
-        mc = [list(row) for row in m]
-        for r in range(3):
-            mc[r][col] = b[r]
-        d = (
-            mc[0][0] * (mc[1][1] * mc[2][2] - mc[1][2] * mc[2][1])
-            - mc[0][1] * (mc[1][0] * mc[2][2] - mc[1][2] * mc[2][0])
-            + mc[0][2] * (mc[1][0] * mc[2][1] - mc[1][1] * mc[2][0])
-        )
-        out.append(d / det)
-    return out
+def check_fingerhut_witness(
+    m: Matching, ps: PointSet, witness: CenterWitness, tol: Tolerance = DEFAULT_TOL
+) -> None:
+    """Re-verify, without the solver, that a Fingerhut witness minimizes
+    max_i (|x - a_i| + |x - b_i|) / |a_i b_i| - 2/sqrt(3) over the edges of
+    m (see `_check_pieces`); the support indexes m.pairs.
+    """
+    if witness.kind != "fingerhut":
+        raise WitnessError(f"a {witness.kind} witness is checked by check_witness")
+    _check_pieces(_ellipse_pieces(m, ps), witness, tol)
 
 
-def _polyak_descent(obj, x0, y0, eps_opt, max_iter, patience):
-    """Polyak-target subgradient descent with a geometric target schedule."""
-    x, y = x0, y0
-    vals = obj.values(x, y)
-    fbest = max(vals)
-    xb, yb = x, y
-    scale = obj.scale_hint()
-    delta = max(10.0 * eps_opt, 0.25 * (fbest - min(vals)), 1e-3 * scale)
-    fref = fbest
-    stall = 0
-    it = 0
-    while it < max_iter:
-        it += 1
-        vals = obj.values(x, y)
-        i = max(range(len(vals)), key=vals.__getitem__)
-        f = vals[i]
-        if f < fbest:
-            fbest = f
-            xb, yb = x, y
-        if fref - fbest > 0.1 * eps_opt:
-            fref = fbest
-            stall = 0
-        else:
-            stall += 1
-        if stall >= patience:
-            stall = 0
-            delta *= 0.25
-            x, y = xb, yb
-            if delta < 0.05 * eps_opt:
-                break
+# ---------------------------------------------------------------------------
+# Ellipse witness: active-set Newton
+# ---------------------------------------------------------------------------
+
+_NEWTON_STEPS = 500
+# Regularization of the weighted Hessian, relative to its trace, and the
+# share of the predicted decrease a trial step must achieve.
+_HESSIAN_RTOL = 1e-10
+_ARMIJO = 1e-4
+
+
+def _ellipse_starts(pieces: _Pieces) -> list[tuple[float, float]]:
+    """Edge midpoints; edge endpoints, near which a piece's curvature grows
+    as 1 / distance; and the points where two edges meet, optimal when every
+    edge passes through them (each piece then attains its lower bound 1)."""
+    edges = pieces.foci
+    starts = [((ax + bx) / 2.0, (ay + by) / 2.0) for (ax, ay), (bx, by) in edges]
+    starts += [p for ends in edges for p in ends]
+    for ((ax, ay), (bx, by)), ((cx, cy), (dx, dy)) in itertools.combinations(edges, 2):
+        ux, uy, vx, vy = bx - ax, by - ay, dx - cx, dy - cy
+        den = ux * vy - uy * vx
+        if den == 0.0:
             continue
-        gx, gy = obj.gradient(i, x, y)
-        gn2 = gx * gx + gy * gy
-        if gn2 <= 1e-30:
-            break
-        step = (f - (fbest - delta)) / gn2
-        x -= step * gx
-        y -= step * gy
-    return xb, yb, fbest, it
+        s = ((cx - ax) * vy - (cy - ay) * vx) / den
+        u = ((cx - ax) * uy - (cy - ay) * ux) / den
+        if 0.0 <= s <= 1.0 and 0.0 <= u <= 1.0:
+            starts.append((ax + s * ux, ay + s * uy))
+    return starts
 
 
-def _newton_equalize3(obj, idx, x, y, scale):
-    """Newton iteration for f_i = f_j = f_k on three pieces."""
-    i, j, k = idx
-    for _ in range(50):
-        vals = obj.values(x, y)
-        g1 = vals[i] - vals[k]
-        g2 = vals[j] - vals[k]
-        gi = obj.gradient(i, x, y)
-        gj = obj.gradient(j, x, y)
-        gk = obj.gradient(k, x, y)
-        sol = _solve2(
-            gi[0] - gk[0], gi[1] - gk[1], gj[0] - gk[0], gj[1] - gk[1], -g1, -g2
-        )
-        if sol is None:
+def _support_step(vals, grads, h, support):
+    """Step d and multipliers of the program restricted to `support`, with
+    vals[m] + grads[m].d = t there, or None when its system is singular.
+    One piece takes its Newton step.  Two fix the component of d along the
+    difference e of their gradients and minimize over the perpendicular one;
+    three fix d.  The multipliers follow from stationarity, with no inverse
+    of H along e, so a Hessian nearly singular there costs no accuracy.
+    """
+    hxx, hxy, hyy = h
+    if len(support) == 1:
+        (gx, gy), det = grads[support[0]], hxx * hyy - hxy * hxy
+        return (hxy * gy - hyy * gx) / det, (hxy * gx - hxx * gy) / det, (1.0,)
+    k = support[-1]
+    gkx, gky = grads[k]
+    if len(support) == 2:
+        i = support[0]
+        ex, ey = grads[i][0] - gkx, grads[i][1] - gky
+        norm = math.hypot(ex, ey)
+        if norm == 0.0:
             return None
-        dx, dy = sol
-        x += dx
-        y += dy
-        if math.hypot(dx, dy) <= 1e-15 * scale:
-            break
-    return x, y
-
-
-def _newton_kkt2(obj, idx, x, y, scale):
-    """Newton on the two-piece KKT system: lam*grad_i + (1-lam)*grad_j = 0,
-    f_i = f_j."""
-    i, j = idx
-    lam = 0.5
-    for _ in range(50):
-        vals = obj.values(x, y)
-        gi = obj.gradient(i, x, y)
-        gj = obj.gradient(j, x, y)
-        hi = obj.hessian(i, x, y)
-        hj = obj.hessian(j, x, y)
-        r1 = lam * gi[0] + (1.0 - lam) * gj[0]
-        r2 = lam * gi[1] + (1.0 - lam) * gj[1]
-        r3 = vals[i] - vals[j]
-        hxx = lam * hi[0] + (1.0 - lam) * hj[0]
-        hxy = lam * hi[1] + (1.0 - lam) * hj[1]
-        hyy = lam * hi[2] + (1.0 - lam) * hj[2]
-        m = [
-            [hxx, hxy, gi[0] - gj[0]],
-            [hxy, hyy, gi[1] - gj[1]],
-            [gi[0] - gj[0], gi[1] - gj[1], 0.0],
-        ]
-        sol = _solve3(m, [-r1, -r2, -r3])
-        if sol is None:
-            return None
-        dx, dy, dlam = sol
-        x += dx
-        y += dy
-        lam = min(1.5, max(-0.5, lam + dlam))
-        if math.hypot(dx, dy) <= 1e-15 * scale and abs(dlam) <= 1e-12:
-            break
-    if not (-1e-9 <= lam <= 1.0 + 1e-9):
+        nx, ny = ex / norm, ey / norm
+        along = (vals[k] - vals[i]) / norm
+        # d = along * n + s * (-ny, nx), with s minimizing the objective.
+        htt = hxx * ny * ny - 2.0 * hxy * nx * ny + hyy * nx * nx
+        htn = (hyy - hxx) * nx * ny + hxy * (nx * nx - ny * ny)
+        s = (ny * gkx - nx * gky - htn * along) / htt
+        dx, dy = along * nx - s * ny, along * ny + s * nx
+        li = -(nx * (hxx * dx + hxy * dy + gkx) + ny * (hxy * dx + hyy * dy + gky)) / norm
+        return dx, dy, (li, 1.0 - li)
+    i, j, _ = support
+    aix, aiy = grads[i][0] - gkx, grads[i][1] - gky
+    ajx, ajy = grads[j][0] - gkx, grads[j][1] - gky
+    det = aix * ajy - aiy * ajx
+    if det == 0.0:
         return None
-    return x, y
+    ri, rj = vals[k] - vals[i], vals[k] - vals[j]
+    dx, dy = (ri * ajy - rj * aiy) / det, (aix * rj - ajx * ri) / det
+    # lam_i e_i + lam_j e_j = -(H d + g_k), e_m = g_m - g_k.
+    bx, by = -(hxx * dx + hxy * dy + gkx), -(hxy * dx + hyy * dy + gky)
+    li, lj = (bx * ajy - by * ajx) / det, (aix * by - aiy * bx) / det
+    return dx, dy, (li, lj, 1.0 - li - lj)
 
 
-def _active_set(vals, f, scale):
-    tol = max(1e-7 * scale, 1e-12)
-    order = sorted(range(len(vals)), key=lambda i: -vals[i])
-    return [i for i in order if f - vals[i] <= tol]
-
-
-def _is_kkt_point(obj, x, y, scale) -> bool:
-    """Sufficient optimality check: 0 in the convex hull of active gradients."""
-    vals = obj.values(x, y)
-    f = max(vals)
-    active = _active_set(vals, f, scale)
-    grads = [obj.gradient(i, x, y) for i in active]
-    gtol = 1e-8
-    for g in grads:
-        if math.hypot(*g) <= gtol:
-            return True
-    for a in range(len(grads)):
-        for b in range(a + 1, len(grads)):
-            g1, g2 = grads[a], grads[b]
-            d1, d2 = g1[0] - g2[0], g1[1] - g2[1]
-            denom = d1 * d1 + d2 * d2
-            if denom <= 1e-300:
+def _qp_step(vals, grads, h):
+    """Exact solution (dx, dy, support, multipliers) of the program
+    min t + d'Hd/2 subject to vals[m] + grads[m].d <= t, H = (xx, xy, yy)
+    positive definite.  Its optimum d minimizes the strictly convex
+    q(d) = max_m (vals[m] + grads[m].d) + d'Hd/2 and solves the program
+    restricted to the support of its multipliers, at most three pieces
+    (Caratheodory in the plane, with the sum constraint).  So the candidate
+    of least q over those supports, with nonnegative multipliers, is it; q
+    is charged the excess of the highest piece over the support's own level
+    t, which is nil at the optimum and makes a support not active lose ties.
+    """
+    hxx, hxy, hyy = h
+    best_q, best = math.inf, None
+    for size in (1, 2, 3):
+        for support in itertools.combinations(range(len(vals)), size):
+            got = _support_step(vals, grads, h, support)
+            if got is None or min(got[2]) < 0.0:
                 continue
-            lam = -(g2[0] * d1 + g2[1] * d2) / denom
-            if -1e-9 <= lam <= 1.0 + 1e-9:
-                rx = lam * g1[0] + (1.0 - lam) * g2[0]
-                ry = lam * g1[1] + (1.0 - lam) * g2[1]
-                if math.hypot(rx, ry) <= gtol:
-                    return True
-    for a in range(len(grads)):
-        for b in range(a + 1, len(grads)):
-            for c in range(b + 1, len(grads)):
-                g1, g2, g3 = grads[a], grads[b], grads[c]
-                m = [[g1[0], g2[0], g3[0]], [g1[1], g2[1], g3[1]], [1.0, 1.0, 1.0]]
-                sol = _solve3(m, [0.0, 0.0, 1.0])
-                if sol is None:
-                    continue
-                if all(l >= -1e-9 for l in sol):
-                    return True
-    return False
-
-
-def _polish(obj, x, y, scale):
-    """Active-set candidates refined by Newton; returns (x, y, f) best among
-    the current point and all successfully polished candidates."""
-    vals = obj.values(x, y)
-    f = max(vals)
-    order = sorted(range(len(vals)), key=lambda i: -vals[i])
-    candidates: list[tuple[float, float]] = []
-    if len(order) >= 3:
-        got = _newton_equalize3(obj, order[:3], x, y, scale)
-        if got is not None:
-            candidates.append(got)
-    if len(order) >= 2:
-        got = _newton_kkt2(obj, order[:2], x, y, scale)
-        if got is not None:
-            candidates.append(got)
-    candidates.append(obj.piece_argmin(order[0], x, y))
-    best = (x, y, f)
-    for cx, cy in candidates:
-        if not (math.isfinite(cx) and math.isfinite(cy)):
-            continue
-        cf = max(obj.values(cx, cy))
-        if cf < best[2]:
-            best = (cx, cy, cf)
+            dx, dy, lam = got
+            t = vals[support[0]] + grads[support[0]][0] * dx + grads[support[0]][1] * dy
+            q = 2.0 * max(v + gx * dx + gy * dy for v, (gx, gy) in zip(vals, grads)) - t
+            q += 0.5 * (hxx * dx * dx + 2.0 * hxy * dx * dy + hyy * dy * dy)
+            if q < best_q:
+                best_q, best = q, (dx, dy, support, lam)
+    if best is None:
+        raise WitnessError("no support gives a finite quadratic step")
     return best
 
 
-def _minimize_max(obj, eps_opt, max_iter=100_000, patience=100):
-    """Multi-start minimization of a convex pointwise-max objective.
+def _trial_steps(pieces: _Pieces, x: float, y: float, dx: float, dy: float, grads, h):
+    """Trial steps from (x, y), each with the share of the predicted decrease
+    it must achieve: the Newton step d; its second-order correction c, which
+    folds each piece's curvature along d into its value and solves the
+    program again; then s d + s^2 (c - d) for s halved up to 40 times.  This
+    arc bends with the active pieces' level curves, which near an edge's
+    endpoint curve on the scale of the distance to it."""
+    yield 1.0, dx, dy
+    ahead = pieces.values(x + dx, y + dy)
+    shifted = [v - gx * dx - gy * dy for v, (gx, gy) in zip(ahead, grads)]
+    cx, cy, _, _ = _qp_step(shifted, grads, h)
+    yield 1.0, cx, cy
+    for i in range(1, 41):
+        s = 0.5**i
+        yield s, s * dx + s * s * (cx - dx), s * dy + s * s * (cy - dy)
 
-    Each start runs Polyak subgradient descent followed by an active-set
-    Newton polish; a start whose result passes the KKT optimality check
-    settles the (convex) problem and the remaining starts are skipped.
-    Otherwise the best point over all starts is returned, with ties broken
-    lexicographically on the point.
+
+def _newton_pieces(pieces: _Pieces, starts):
+    """Minimize F = max_m f_m by an active-set Newton method (S.-P. Han,
+    Math. Programming 20, 1981).
+
+    From the start with the lowest F, each step solves the model
+    min t + d'Hd/2 s.t. f_m + g_m.d <= t exactly, H the Hessian weighted by
+    the last multipliers, and takes the first trial step that lowers F by a
+    share of the predicted decrease F - t.  The program solved at the final
+    point names the support.  Returns (x, y, F, support, multipliers).
     """
-    scale = obj.scale_hint()
-    best: Optional[tuple[float, float, float]] = None
-    for sx, sy in obj.starts():
-        x, y, _, _ = _polyak_descent(obj, sx, sy, eps_opt, max_iter, patience)
-        x, y, f = _polish(obj, x, y, scale)
-        if (
-            best is None
-            or f < best[2]
-            or (f == best[2] and (x, y) < (best[0], best[1]))
-        ):
-            best = (x, y, f)
-        if _is_kkt_point(obj, x, y, scale):
-            break
-    assert best is not None
-    return Point(best[0], best[1]), best[2]
+    x, y = min(starts, key=lambda p: max(pieces.values(*p)))
+    weights, settle = {}, math.inf
+    for _ in range(_NEWTON_STEPS):
+        vals, grads, hessians = zip(*pieces.derivatives(x, y))
+        f = max(vals)
+        # Rounding of F, from that of the point's coordinates.
+        noise = pieces.lipschitz * pieces.tolerance(0.0)
+        # The first step weights the top piece alone.
+        weights = weights or {vals.index(f): 1.0}
+        hxx, hxy, hyy = (sum(l * hessians[m][e] for m, l in weights.items()) for e in range(3))
+        reg = _HESSIAN_RTOL * (hxx + hyy + pieces.lipschitz / pieces.length)
+        h = (hxx + reg, hxy, hyy + reg)
+        dx, dy, support, lam = _qp_step(vals, grads, h)
+        weights = dict(zip(support, lam))
+        norm = math.hypot(dx, dy)
+        if norm > pieces.length:
+            dx, dy = dx * pieces.length / norm, dy * pieces.length / norm
+        t = max(v + gx * dx + gy * dy for v, (gx, gy) in zip(vals, grads))
+        # F cannot confirm a decrease below its rounding: such steps need
+        # only keep F within it, and each must at least halve.
+        quiet = f - t <= noise
+        if t >= f or (quiet and norm > settle / 2.0):
+            return x, y, f, support, lam
+        for share, sx, sy in _trial_steps(pieces, x, y, dx, dy, grads, h):
+            fn = max(pieces.values(x + sx, y + sy))
+            if (fn <= f + noise) if quiet else (fn < f and fn <= f - _ARMIJO * share * (f - t)):
+                x, y = x + sx, y + sy
+                break
+        else:
+            return x, y, f, support, lam
+        if quiet:
+            settle = norm
+    raise WitnessError(f"no Newton step within {_NEWTON_STEPS} settles {len(vals)} pieces")
 
 
 # ---------------------------------------------------------------------------
@@ -674,19 +601,17 @@ def common_point(df: DiskFamily, tol: Tolerance = DEFAULT_TOL) -> CenterWitness:
     if len(df) == 0:
         raise ValueError("common_point requires a nonempty disk family")
     cx, cy, r = _disk_coordinates(df)
-    scale = _length_scale(cx, cy, r)
-    x, y, slack, support, multipliers = _pivot_disks(
-        cx, cy, r, _slack_tolerance(_PIVOT_RTOL, scale, cx, cy, r)
-    )
+    pieces = _disk_pieces(cx, cy, r)
+    x, y, slack, support, multipliers = _pivot_disks(cx, cy, r, pieces.tolerance(_PIVOT_RTOL))
     witness = CenterWitness(
         point=Point(x, y),
         slack=slack,
         kind="diametral" if df.scale == 1.0 else "enlarged",
         support=support,
         multipliers=multipliers,
-        scale=scale,
+        scale=pieces.length,
     )
-    check_witness(df, witness, tol)
+    _check_pieces(pieces, witness, tol)
     return witness
 
 
@@ -694,14 +619,32 @@ def fingerhut_center(m: Matching, ps: PointSet, tol: Tolerance = DEFAULT_TOL) ->
     """Point minimizing max_i (|xa_i| + |xb_i|) / |a_i b_i| over the edges.
 
     Slack is the achieved maximum minus 2/sqrt(3); a 3-local maximum
-    matching always admits a point with nonpositive slack.
+    matching always admits a point with nonpositive slack.  The minimizer
+    comes from the active-set Newton method, and the witness names its
+    support (indices into m.pairs) and multipliers; it is re-verified by
+    `check_fingerhut_witness` before it is returned.
     """
     if len(m) == 0:
         raise ValueError("fingerhut_center requires a nonempty matching")
-    edges = [(ps[i], ps[j]) for i, j in m.pairs]
-    obj = _EllipseRatioObjective(edges)
-    point, value = _minimize_max(obj, tol.eps_opt)
-    return CenterWitness(point=point, slack=value - ENLARGEMENT_FACTOR, kind="fingerhut")
+    pieces = _ellipse_pieces(m, ps)
+    x, y, slack, support, multipliers = _newton_pieces(pieces, _ellipse_starts(pieces))
+    # Each piece is least at its endpoints, kinks the program cannot see, so
+    # an endpoint where its own edge is active within v = atol * lipschitz is
+    # optimal within v with that edge as support.  The point found takes
+    # that support within atol of such an endpoint; the lowest one replaces
+    # the point unless worse by v.  Both happen only for optima within v of 1.
+    atol = pieces.tolerance(tol.eps_geom)
+    limit = slack + atol * pieces.lipschitz
+    for e, ends in enumerate(pieces.foci):
+        for p in ends:
+            q = (x, y) if math.dist((x, y), p) <= atol else p
+            vals = pieces.values(*q)
+            if vals[e] >= max(vals) - atol * pieces.lipschitz and (q == (x, y) or max(vals) < limit):
+                (x, y), slack, support, multipliers = q, max(vals), (e,), (1.0,)
+                limit = min(limit, slack)
+    witness = CenterWitness(Point(float(x), float(y)), slack, "fingerhut", support, multipliers)
+    _check_pieces(pieces, witness, tol)
+    return witness
 
 
 def star_weight(c: Point, ps: PointSet) -> float:

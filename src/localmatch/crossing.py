@@ -164,7 +164,7 @@ def verify_globally_maximum(
         )
     opt = optimal_matching(ps, "maximize", cap)
     w_max = weight(opt, ps)
-    return weight(m, ps) >= w_max - tol.eps_geom * max(1.0, w_max)
+    return weight(m, ps) >= w_max - tol.eps_geom * w_max
 
 
 def convex_diagonal_matching(ps: PointSet) -> Matching:

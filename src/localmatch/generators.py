@@ -231,10 +231,7 @@ class MinedInstance:
 def _search_ratio(
     ps: PointSet, k: int, init, tol: Tolerance
 ) -> tuple[Matching, float]:
-    try:
-        m = k_local_search(ps, k, init, tol)
-    except ValueError:
-        m = k_local_search(ps, k, "greedy", tol)
+    m = k_local_search(ps, k, init, tol)
     w_opt = weight(optimal_matching(ps, "maximize"), ps)
     return m, weight(m, ps) / w_opt
 

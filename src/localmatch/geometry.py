@@ -22,9 +22,6 @@ __all__ = [
     "segments_cross",
     "diametral_disk",
     "disks_intersect",
-    "circle_pair_points",
-    "innermost_point",
-    "fermat_point",
     "endpoint_bound",
     "diameter_bound",
 ]
@@ -161,173 +158,39 @@ def disks_intersect(d1: Disk, d2: Disk, tol: Tolerance = DEFAULT_TOL) -> bool:
     return distance(d1.center, d2.center) <= d1.radius + d2.radius + tol.eps_geom
 
 
-def circle_pair_points(d1: Disk, d2: Disk, tol: Tolerance = DEFAULT_TOL) -> list[Point]:
-    """Intersection points of the two boundary circles.
-
-    Returns two points for a proper lens, one point when tangent within
-    eps_geom, and none when the circles are disjoint or nested.  Identical
-    circles have infinitely many common points and are rejected.
-    """
-    eps = tol.eps_geom
-    d = distance(d1.center, d2.center)
-    if d <= eps and abs(d1.radius - d2.radius) <= eps:
-        raise ValueError("identical circles intersect in infinitely many points")
-    if d > d1.radius + d2.radius + eps:
-        return []
-    if d < abs(d1.radius - d2.radius) - eps:
-        return []
-    ux = (d2.center.x - d1.center.x) / d
-    uy = (d2.center.y - d1.center.y) / d
-    # Tangency (external or internal): single contact point on the center line.
-    if abs(d - (d1.radius + d2.radius)) <= eps:
-        return [Point(d1.center.x + d1.radius * ux, d1.center.y + d1.radius * uy)]
-    if abs(d - abs(d1.radius - d2.radius)) <= eps:
-        a = d1.radius if d1.radius > d2.radius else -d1.radius
-        return [Point(d1.center.x + a * ux, d1.center.y + a * uy)]
-    a = (d * d + d1.radius * d1.radius - d2.radius * d2.radius) / (2.0 * d)
-    h_sq = d1.radius * d1.radius - a * a
-    if h_sq <= 0.0:
-        mx = d1.center.x + a * ux
-        my = d1.center.y + a * uy
-        return [Point(mx, my)]
-    h = math.sqrt(h_sq)
-    mx = d1.center.x + a * ux
-    my = d1.center.y + a * uy
-    # Counterclockwise perpendicular first, so the +y point leads for
-    # horizontally placed centers.
-    return [Point(mx - h * uy, my + h * ux), Point(mx + h * uy, my - h * ux)]
-
-
-def innermost_point(d1: Disk, d2: Disk, d3: Disk, tol: Tolerance = DEFAULT_TOL) -> Point:
-    """Boundary intersection point of d1, d2 that lies closer to d3's center.
-
-    Ties within eps_geom go to the lexicographically smaller point.  All
-    three disks must pairwise intersect.
-    """
-    if not (
-        disks_intersect(d1, d2, tol)
-        and disks_intersect(d1, d3, tol)
-        and disks_intersect(d2, d3, tol)
-    ):
-        raise ValueError("innermost_point requires pairwise intersecting disks")
-    pts = circle_pair_points(d1, d2, tol)
-    if not pts:
-        raise ValueError("boundary circles of d1 and d2 do not intersect")
-    if len(pts) == 1:
-        return pts[0]
-    p, q = pts
-    dp = distance(p, d3.center)
-    dq = distance(q, d3.center)
-    if abs(dp - dq) <= tol.eps_geom:
-        return min(pts, key=lambda r: (r.x, r.y))
-    return p if dp < dq else q
-
-
-_FERMAT_COS_THRESHOLD = math.cos(2.0 * math.pi / 3.0 - 1e-12)
-_FERMAT_POLISH_TOL = 1e-10
-
-
-def _equilateral_apex(b: Point, c: Point, away_from: Point) -> Point:
-    """Apex of the equilateral triangle on bc lying opposite `away_from`."""
-    mx = (b.x + c.x) / 2.0
-    my = (b.y + c.y) / 2.0
-    # Perpendicular offset of height sqrt(3)/2 * |bc| from the midpoint.
-    hx = -(c.y - b.y) * math.sqrt(3.0) / 2.0
-    hy = (c.x - b.x) * math.sqrt(3.0) / 2.0
-    cand1 = Point(mx + hx, my + hy)
-    cand2 = Point(mx - hx, my - hy)
-    side = orientation(b, c, away_from)
-    if orientation(b, c, cand1) == side:
-        return cand2
-    return cand1
-
-
-def _line_intersection(p1: Point, p2: Point, q1: Point, q2: Point) -> Point | None:
-    r = (p2.x - p1.x, p2.y - p1.y)
-    s = (q2.x - q1.x, q2.y - q1.y)
-    denom = r[0] * s[1] - r[1] * s[0]
-    if denom == 0.0:
-        return None
-    t = ((q1.x - p1.x) * s[1] - (q1.y - p1.y) * s[0]) / denom
-    return Point(p1.x + t * r[0], p1.y + t * r[1])
-
-
-def fermat_point(a: Point, b: Point, c: Point) -> Point:
-    """Point minimizing the total distance to the three vertices.
-
-    A vertex whose angle is at least 2*pi/3 is itself the minimizer;
-    otherwise the interior isogonic point is constructed in closed form
-    and polished by Weiszfeld iterations.  Degenerate (collinear or
-    repeated-vertex) triangles are allowed.
-    """
-    pts = (a, b, c)
-    # Repeated vertex: the doubled point carries weight 2 and wins.
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if distance(pts[i], pts[j]) <= _SEGMENT_DEGENERACY:
-                return pts[i]
-    for i in range(3):
-        v = pts[i]
-        u = pts[(i + 1) % 3]
-        w = pts[(i + 2) % 3]
-        du = distance(v, u)
-        dw = distance(v, w)
-        cos_angle = ((u.x - v.x) * (w.x - v.x) + (u.y - v.y) * (w.y - v.y)) / (du * dw)
-        if cos_angle <= _FERMAT_COS_THRESHOLD:
-            return v
-    apex_a = _equilateral_apex(b, c, a)
-    apex_b = _equilateral_apex(a, c, b)
-    guess = _line_intersection(a, apex_a, b, apex_b)
-    if guess is None:  # numerically parallel Simpson lines; fall back to centroid
-        guess = Point((a.x + b.x + c.x) / 3.0, (a.y + b.y + c.y) / 3.0)
-    x, y = guess.x, guess.y
-    scale = max(distance(a, b), distance(b, c), distance(c, a))
-    for _ in range(200):
-        wsum = 0.0
-        xacc = 0.0
-        yacc = 0.0
-        hit_vertex = None
-        for p in pts:
-            d = math.hypot(x - p.x, y - p.y)
-            if d <= _SEGMENT_DEGENERACY * scale:
-                hit_vertex = p
-                break
-            w = 1.0 / d
-            wsum += w
-            xacc += w * p.x
-            yacc += w * p.y
-        if hit_vertex is not None:
-            break
-        nx = xacc / wsum
-        ny = yacc / wsum
-        step = math.hypot(nx - x, ny - y)
-        x, y = nx, ny
-        if step <= _FERMAT_POLISH_TOL * scale:
-            break
-    return Point(x, y)
-
-
-def endpoint_bound(x: float, r: float) -> float:
+def endpoint_bound(x, r):
     """sqrt(r^2 + 1 + 2x) + sqrt(r^2 + 1 - 2x) for 0 <= x <= r, r > 0.
 
     This is the total distance |pa| + |pb| with a = (-1, 0), b = (1, 0)
     and p on the radius-r circle about the origin at abscissa x; its
-    maximum over the domain is 2*sqrt(r^2 + 1), attained at x = 0.
+    maximum over the domain is 2*sqrt(r^2 + 1), attained at x = 0.  x and r
+    may be numpy arrays that broadcast together; every element must lie in
+    the domain.  Scalars give a float.
     """
-    if r <= 0.0:
+    # numpy loads on first use: loaded with this module, ahead of the rest
+    # of the package, it raised the peak memory of long oracle runs.
+    import numpy as np
+    x, r = np.asarray(x, dtype=float), np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
         raise ValueError(f"r must be positive, got {r}")
-    if not (0.0 <= x <= r):
-        raise ValueError(f"x must lie in [0, r] = [0, {r}], got {x}")
+    if not np.all((0.0 <= x) & (x <= r)):
+        raise ValueError(f"x must lie in [0, r], got x = {x} and r = {r}")
     s = r * r + 1.0
-    return math.sqrt(s + 2.0 * x) + math.sqrt(s - 2.0 * x)
+    out = np.sqrt(s + 2.0 * x) + np.sqrt(s - 2.0 * x)
+    return float(out) if out.ndim == 0 else out
 
 
-def diameter_bound(alpha: float) -> float:
+def diameter_bound(alpha):
     """2*sin((4*pi - 3*alpha)/6)/sqrt(3) for 0 <= alpha <= pi.
 
     Peak value 2/sqrt(3) at alpha = pi/3; bounds |pq|/|pa| for the convex
     quadrilateral configuration with |pa| = |pb| and angle aqb = 2*pi/3.
+    alpha may be a numpy array; every element must lie in the domain.
+    Scalars give a float.
     """
-    if not (0.0 <= alpha <= math.pi):
+    import numpy as np
+    alpha = np.asarray(alpha, dtype=float)
+    if not np.all((0.0 <= alpha) & (alpha <= math.pi)):
         raise ValueError(f"alpha must lie in [0, pi], got {alpha}")
-    return 2.0 * math.sin((4.0 * math.pi - 3.0 * alpha) / 6.0) / math.sqrt(3.0)
+    out = 2.0 * np.sin((4.0 * math.pi - 3.0 * alpha) / 6.0) / math.sqrt(3.0)
+    return float(out) if out.ndim == 0 else out

@@ -32,7 +32,7 @@ from .generators import (
     gen_tangent_disks,
     mine_low_ratio,
 )
-from .geometry import Point, distance
+from .geometry import Point, diameter_bound, distance, endpoint_bound
 from .matching import (
     Matching,
     cycle_decomposition,
@@ -216,12 +216,9 @@ def extremal_lemmas(scale: int) -> Verdict:
     trials = 10_000 // scale
     grid_excess = 0.0
     for r in (0.25, 0.5, 1.0, ENLARGEMENT_FACTOR, 2.0, 4.0):
-        xs = np.linspace(0.0, r, grid // 6)
-        s = r * r + 1.0
-        vals = np.sqrt(s + 2.0 * xs) + np.sqrt(s - 2.0 * xs)
-        grid_excess = max(grid_excess, float(vals.max()) - 2.0 * math.sqrt(s))
-    alphas = np.linspace(0.0, math.pi, grid)
-    dvals = 2.0 * np.sin((4.0 * math.pi - 3.0 * alphas) / 6.0) / SQRT3
+        vals = endpoint_bound(np.linspace(0.0, r, grid // 6), r)
+        grid_excess = max(grid_excess, float(vals.max()) - 2.0 * math.sqrt(r * r + 1.0))
+    dvals = diameter_bound(np.linspace(0.0, math.pi, grid))
     grid_excess = max(grid_excess, float(dvals.max()) - 2.0 / SQRT3)
 
     rng = np.random.default_rng(150_000)

@@ -16,6 +16,7 @@ from localmatch.certificates import (
     LocalityError,
     WitnessError,
     certify,
+    check_fingerhut_witness,
     check_witness,
     common_point,
     diametral_family,
@@ -431,18 +432,161 @@ class TestPairwiseAndTriplePremises:
             assert common_point(DiskFamily(disks)).slack <= TOL.eps_opt
 
 
+# Slack on `golden_instances()` recorded, as float.hex, from the earlier
+# solver (multi-start Polyak descent with a Newton polish).
+FINGERHUT_GOLDEN = {
+    "local3-0": "-0x1.2c91383365700p-3",
+    "local3-1": "-0x1.2ef62815e8e70p-3",
+    "local3-2": "-0x1.225bab95fbbf0p-3",
+    "local3-3": "-0x1.cede554867c70p-4",
+    "local3-4": "-0x1.1c6be5348d998p-3",
+    "local3-5": "-0x1.2e94f0328be80p-4",
+    "local3-6": "-0x1.0be0f2dbb53d0p-3",
+    "local3-7": "-0x1.d7e4cad74b180p-4",
+    "local3-8": "-0x1.3af772b608728p-3",
+    "local3-9": "-0x1.34fa866eb9f28p-3",
+    "local3-10": "-0x1.a58f8b164b4c0p-4",
+    "local3-11": "-0x1.f6d75a2188500p-4",
+    "local3-12": "-0x1.fae2409df79d0p-4",
+    "local3-13": "-0x1.e730ab8d5a690p-4",
+    "local3-14": "-0x1.65847f184c640p-4",
+    "local3-15": "-0x1.1642c5e407500p-3",
+    "local3-16": "-0x1.32fb00e918448p-3",
+    "local3-17": "-0x1.e71359ec74e40p-4",
+    "local3-18": "-0x1.383a111f75cb8p-3",
+    "local3-19": "-0x1.23070b0e60478p-3",
+    "local3-20": "-0x1.3a8e0ec83ada0p-3",
+    "local3-21": "-0x1.318205c0a6738p-3",
+    "local3-22": "-0x1.13dcb88ead710p-3",
+    "local3-23": "-0x1.2bcaba838a148p-3",
+    "local3-24": "-0x1.309f91c758b08p-3",
+    "local3-25": "-0x1.770441404ded0p-4",
+    "local3-26": "-0x1.dad29490fd760p-4",
+    "local3-27": "-0x1.22a312a20db38p-3",
+    "local3-28": "-0x1.2a97a8bf88ed0p-3",
+    "local3-29": "-0x1.34e7dce5b2290p-3",
+    "local3-30": "-0x1.0a08eb9311d28p-3",
+    "local3-31": "-0x1.0ddac64bbfc08p-3",
+    "local3-32": "-0x1.cdcc10d95d010p-4",
+    "local3-33": "-0x1.7f137a611d1c0p-4",
+    "local3-34": "-0x1.35529930ad940p-3",
+    "local3-35": "-0x1.070ebe5813490p-3",
+    "local3-36": "-0x1.3b42e41306d70p-3",
+    "local3-37": "-0x1.394cc79eb8818p-3",
+    "local3-38": "-0x1.108c5249f6928p-3",
+    "local3-39": "-0x1.c2faea76431a0p-4",
+    "global-0": "-0x1.3cd0c84bcae58p-3",
+    "global-1": "-0x1.3aef6fbbc5760p-3",
+    "global-2": "-0x1.3a8ba6c1d4198p-3",
+    "global-3": "-0x1.cd200cf379360p-4",
+    "global-4": "-0x1.3ccf705ff0260p-3",
+    "global-5": "-0x1.34a6f7731ebd0p-3",
+    "global-6": "-0x1.136061b065678p-3",
+    "global-7": "-0x1.32767da976570p-3",
+    "global-8": "-0x1.3c84ef47f7060p-3",
+    "global-9": "-0x1.2bb79b3be6458p-3",
+    "crossing-x": "-0x1.3cd3a2c8198e8p-3",
+    "single-edge": "-0x1.3cd3a2c8198e8p-3",
+}
+
+
+def golden_instances():
+    for i in range(40):
+        ps = gen_random(6 + 2 * (i % 4), seed=97_000 + i)
+        yield f"local3-{i}", ps, k_local_search(ps, 3)
+    for i in range(10):
+        ps = gen_random(6, seed=70_000 + i)
+        yield f"global-{i}", ps, optimal_matching(ps)
+    yield "crossing-x", *crossing_x()
+    yield "single-edge", PointSet([Point(0, 0), Point(5, 0)]), Matching([(0, 1)])
+
+
+def points(*coords):
+    return PointSet([Point(float(x), float(y)) for x, y in coords])
+
+
+def assert_checked_or_raises(m, ps):
+    """A degenerate instance gets a witness that passes the shared check,
+    or WitnessError; returns the witness or None."""
+    try:
+        w = fingerhut_center(m, ps)
+    except WitnessError:
+        return None
+    check_fingerhut_witness(m, ps, w)
+    assert min(w.multipliers) >= 0.0 and sum(w.multipliers) == pytest.approx(1.0, abs=1e-12)
+    return w
+
+
 class TestFingerhutCenter:
     def test_single_edge(self):
         ps = PointSet([Point(0, 0), Point(5, 0)])
-        w = fingerhut_center(Matching([(0, 1)]), ps)
+        w = assert_checked_or_raises(Matching([(0, 1)]), ps)
         assert w.slack == pytest.approx(1.0 - ENLARGEMENT_FACTOR, abs=1e-9)
         assert w.kind == "fingerhut"
+        assert w.support == (0,) and w.multipliers == (1.0,)
 
     def test_crossing_unit_segments_meet_at_midpoint(self):
         ps, m = crossing_x()
-        w = fingerhut_center(m, ps)
+        w = assert_checked_or_raises(m, ps)
         assert distance(w.point, Point(0.5, 0.5)) <= 1e-6
         assert w.slack == pytest.approx(1.0 - ENLARGEMENT_FACTOR, abs=1e-9)
+
+    def test_crossing_segments_attain_exactly_one(self):
+        # Two crossing segments: the optimum is the lower bound 1, attained
+        # only at the crossing point, where both pieces are flat.
+        ps = points((0, 0), (3, 1), (0.5, -1), (1, 2))
+        w = assert_checked_or_raises(Matching([(0, 1), (2, 3)]), ps)
+        assert w.slack + ENLARGEMENT_FACTOR == pytest.approx(1.0, abs=1e-15)
+        assert distance(w.point, Point(12 / 17, 4 / 17)) <= 1e-12
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-7, -1e-7])
+    def test_focus_on_another_edge(self, offset):
+        # The endpoint (1, offset) of the second edge lies inside the first,
+        # or next to it, where the optimum sits at that endpoint's kink.
+        ps = points((0, 0), (3, 0), (1, offset), (1, 1))
+        w = assert_checked_or_raises(Matching([(0, 1), (2, 3)]), ps)
+        assert w.slack + ENLARGEMENT_FACTOR == pytest.approx(1.0, abs=1e-12)
+        assert distance(w.point, Point(1, offset)) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "coords, pairs, value, point",
+        [
+            ([(0, 0), (1, 0), (2, 0), (3, 0)], [(0, 1), (2, 3)], 2.0, (1.5, 0)),
+            ([(0, 0), (2, 0), (1.5, 0), (5, 0)], [(0, 1), (2, 3)], 1.0, None),
+            (
+                [(0, 0), (1, 0), (2, 0), (3, 0), (5, 0), (7, 0)],
+                [(0, 1), (2, 3), (4, 5)],
+                11 / 3,
+                (7 / 3, 0),
+            ),
+        ],
+        ids=["disjoint", "overlapping", "three"],
+    )
+    def test_collinear_edges(self, coords, pairs, value, point):
+        w = assert_checked_or_raises(Matching(pairs), points(*coords))
+        assert w.slack + ENLARGEMENT_FACTOR == pytest.approx(value, abs=1e-12)
+        if point is not None:
+            assert distance(w.point, Point(*point)) <= 1e-12
+        else:  # anywhere on the overlap [1.5, 2] of the two edges
+            assert abs(w.point.y) <= 1e-12 and 1.5 - 1e-12 <= w.point.x <= 2.0 + 1e-12
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            # Crossing edges whose weighted Hessian at the crossing is singular.
+            [(0.75, 0.125), (0.7615329594421554, -0.625), (0.0, 0.0), (1.0, -0.25)],
+            # Nearly collinear, nearly nested edges: a flat objective whose
+            # best start is an endpoint 0.047 from the optimum.
+            [(0.36589448104959144, -0.004198885892603199), (-0.5, -3e-30),
+             (0.6335949385294879, 6.5e-142), (-1.0, 0.001953125)],
+            # An endpoint 1e-7 from the other edge.
+            [(1e-07, 1e-38), (0.001, -0.40485111899507664), (-3e-239, -0.9427310797582162),
+             (-3e-239, 0.5320251883516289)],
+        ],
+        ids=["singular-hessian", "flat-near-collinear", "near-kink"],
+    )
+    def test_near_degenerate_inputs_get_checked_witnesses(self, coords):
+        assert assert_checked_or_raises(Matching([(0, 1), (2, 3)]), points(*coords)) is not None
 
     def test_global_maximum_matchings_admit_center(self):
         for seed in range(60):
@@ -450,9 +594,135 @@ class TestFingerhutCenter:
             m = optimal_matching(ps)
             assert fingerhut_center(m, ps).slack <= TOL.eps_opt
 
+    def test_slack_matches_golden_values(self):
+        names = []
+        for name, ps, m in golden_instances():
+            w = fingerhut_center(m, ps)
+            assert abs(w.slack - float.fromhex(FINGERHUT_GOLDEN[name])) <= 1e-12, name
+            names.append(name)
+        assert names == list(FINGERHUT_GOLDEN)
+
+    def test_witness_names_support_and_multipliers(self):
+        for _, ps, m in golden_instances():
+            w = fingerhut_center(m, ps)
+            check_fingerhut_witness(m, ps, w)
+            assert 1 <= len(w.support) <= 3 and len(w.multipliers) == len(w.support)
+            assert all(0 <= i < len(m) for i in w.support)
+            assert min(w.multipliers) >= 0.0
+            assert sum(w.multipliers) == pytest.approx(1.0, abs=1e-12)
+
+    def test_solver_result_is_checked_before_return(self, monkeypatch):
+        ps, m = crossing_x()
+        monkeypatch.setattr(
+            certificates,
+            "_newton_pieces",
+            lambda pieces, starts: (0.5, 0.5, 1.0 - ENLARGEMENT_FACTOR, (0,), (0.5,)),
+        )
+        with pytest.raises(WitnessError):
+            fingerhut_center(m, ps)
+
     def test_empty_matching_rejected(self):
         with pytest.raises(ValueError):
             fingerhut_center(Matching([]), PointSet([]))
+
+
+class TestCheckFingerhutWitness:
+    def test_rejects_tampered_witnesses(self):
+        ps = gen_random(8, seed=97_001)
+        m = k_local_search(ps, 3)
+        w = fingerhut_center(m, ps)
+        assert len(w.support) >= 2
+        other = next(i for i in range(len(m)) if i not in w.support)
+        moved = Point(w.point.x + 1e-3, w.point.y)
+        # At the moved point with its own slack, only the gradients tell.
+        moved_slack = max(certificates._ellipse_pieces(m, ps).values(moved.x, moved.y))
+        # At the moved point with its own slack, only the gradients tell.
+        moved_slack = max(certificates._ellipse_pieces(m, ps).values(moved.x, moved.y))
+        size = len(w.support)
+        negative = (1.1, *[-0.1 / (size - 1)] * (size - 1))
+        tampered = {
+            "moved point": CenterWitness(moved, w.slack, w.kind, w.support, w.multipliers),
+            "moved point, own slack": CenterWitness(
+                moved, moved_slack, w.kind, w.support, w.multipliers
+            ),
+            "lowered slack": CenterWitness(w.point, w.slack - 1e-3, w.kind, w.support, w.multipliers),
+            "wrong support": CenterWitness(
+                w.point, w.slack, w.kind, (*w.support[:-1], other), w.multipliers
+            ),
+            "non-convex multipliers": CenterWitness(
+                w.point, w.slack, w.kind, w.support, (0.5,) * size
+            ),
+            "negative multiplier": CenterWitness(w.point, w.slack, w.kind, w.support, negative),
+            "empty support": CenterWitness(w.point, w.slack, w.kind),
+            "disk kind": CenterWitness(w.point, w.slack, "diametral", w.support, w.multipliers),
+        }
+        check_fingerhut_witness(m, ps, w)
+        for name, bad in tampered.items():
+            with pytest.raises(WitnessError):
+                check_fingerhut_witness(m, ps, bad)
+                pytest.fail(name)
+
+    def test_rejects_balanced_value_at_non_optimal_point(self):
+        # Equidistant from two parallel unit edges, both pieces are equally
+        # active, but away from the midline their gradients do not cancel.
+        ps = points((0, 0), (1, 0), (0, 2), (1, 2))
+        m = Matching([(0, 1), (2, 3)])
+        off = Point(3.0, 1.0)
+        slack = math.hypot(3.0, 1.0) + math.hypot(2.0, 1.0) - ENLARGEMENT_FACTOR
+        with pytest.raises(WitnessError):
+            check_fingerhut_witness(m, ps, CenterWitness(off, slack, "fingerhut", (0, 1), (0.5, 0.5)))
+
+
+class TestFingerhutInvariance:
+    @given(
+        st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=2, max_size=10).filter(
+            lambda pts: len(pts) % 2 == 0
+        ),
+        st.floats(0, 2 * math.pi),
+        st.integers(-6, 6),
+        st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_translation_rotation_scaling_relabelling(self, coords, angle, exponent, shift, data):
+        n = len(coords)
+        # Points stay apart by more than eps_geom after scaling by 1e-6.
+        assume(min(math.dist(p, q) for p, q in itertools.combinations(coords, 2)) >= 1e-2)
+        factor = 10.0**exponent
+        cos, sin = math.cos(angle), math.sin(angle)
+
+        def image(x, y):
+            return (
+                factor * (cos * x - sin * y + shift[0]),
+                factor * (sin * x + cos * y + shift[1]),
+            )
+
+        ps = points(*coords)
+        m = Matching((2 * e, 2 * e + 1) for e in range(n // 2))
+        # Relabel the points, and with them the edges and their endpoints.
+        perm = data.draw(st.permutations(range(n)))  # old index -> new index
+        moved_coords = [None] * n
+        for old, new in enumerate(perm):
+            moved_coords[new] = image(*coords[old])
+        moved_ps = points(*moved_coords)
+        moved_m = Matching((perm[a], perm[b]) for a, b in m.pairs)
+        # Nearly concurrent or nearly collinear edges may raise WitnessError
+        # (about 3 in 10,000 drawn instances); invariance is asserted of the
+        # witnesses that are returned.
+        w = assert_checked_or_raises(m, ps)
+        v = assert_checked_or_raises(moved_m, moved_ps)
+        assume(w is not None and v is not None)
+        assert abs(v.slack - w.slack) <= 1e-9
+        # Edge e of m is edge edge_map[e] of moved_m.
+        edge_map = [moved_m.pairs.index(tuple(sorted((perm[a], perm[b])))) for a, b in m.pairs]
+        # The support is unique when exactly its edges are active, none of
+        # them has a vanishing multiplier and the edges share no point (there
+        # every gradient vanishes); then it maps through perm.
+        values = certificates._ellipse_pieces(m, ps).values(w.point.x, w.point.y)
+        active = [i for i, f in enumerate(values) if f >= w.slack - 1e-9]
+        concurrent = w.slack + ENLARGEMENT_FACTOR <= 1.0 + 1e-9
+        if len(active) == len(w.support) and min(w.multipliers) > 1e-6 and not concurrent:
+            assert sorted(edge_map[e] for e in w.support) == sorted(v.support)
 
 
 class TestStarWeight:
@@ -503,12 +773,13 @@ class TestCertify:
                 assert cert.oracle_weight <= cert.star_weight + 1e-9
             assert cert.matching_weight >= bound * cert.oracle_weight - 1e-9
 
-    def test_fingerhut_witness_has_no_support(self):
-        ps, m = crossing_x()
+    def test_fingerhut_support_in_certificate_dict(self):
+        ps = gen_random(8, seed=97_001)
+        m = k_local_search(ps, 3)
         cert = certify(ps, m, "local3_fingerhut")
-        assert cert.witness.support == () and cert.witness.multipliers == ()
         witness = certificate_to_dict(cert)["witness"]
-        assert witness["support"] == [] and witness["multipliers"] == []
+        assert witness["support"] == list(cert.witness.support) != []
+        assert witness["multipliers"] == pytest.approx(list(cert.witness.multipliers))
 
     def test_locality_precondition_reports_subset(self):
         ps = PointSet([Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)])

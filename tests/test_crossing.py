@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from localmatch import crossing
 from localmatch.crossing import (
     GeneralPositionError,
     convex_diagonal_matching,
@@ -90,6 +91,26 @@ class TestVerifyGloballyMaximum:
     def test_non_crossing_rejected(self):
         with pytest.raises(ValueError):
             verify_globally_maximum(unit_square(), Matching([(0, 1), (2, 3)]))
+
+    def test_tolerance_is_relative_to_the_weight(self, monkeypatch):
+        # At scale 1e-6 the diagonals weigh 6e-6; an oracle weight 1e-4
+        # heavier must be seen, although it is heavier by only 6e-10.
+        tiny = PointSet([Point(p.x * 1e-6, p.y * 1e-6) for p in regular_hexagon().points])
+        diagonals = Matching([(0, 3), (1, 4), (2, 5)])
+        assert verify_globally_maximum(tiny, diagonals)
+        oracle, real_weight = crossing.optimal_matching, crossing.weight
+        returned = []
+
+        def traced_oracle(*args):
+            returned.append(oracle(*args))
+            return returned[-1]
+
+        def inflated_weight(m, ps):
+            return real_weight(m, ps) * (1.0 + 1e-4 if m is returned[-1] else 1.0)
+
+        monkeypatch.setattr(crossing, "optimal_matching", traced_oracle)
+        monkeypatch.setattr(crossing, "weight", inflated_weight)
+        assert not verify_globally_maximum(tiny, diagonals)
 
 
 class TestTheoremsOnRandomSets:

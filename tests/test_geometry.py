@@ -12,14 +12,11 @@ from localmatch.geometry import (
     Point,
     Segment,
     Tolerance,
-    circle_pair_points,
     diameter_bound,
     diametral_disk,
     disks_intersect,
     distance,
     endpoint_bound,
-    fermat_point,
-    innermost_point,
     orientation,
     segments_cross,
 )
@@ -152,121 +149,6 @@ class TestDisksIntersect:
         assert disks_intersect(Disk(Point(0, 0), 1), Disk(Point(1, 0), 3))
 
 
-class TestCirclePairPoints:
-    def test_tangent_single_point(self):
-        pts = circle_pair_points(Disk(Point(0, 0), 1), Disk(Point(2, 0), 1))
-        assert len(pts) == 1
-        assert distance(pts[0], Point(1, 0)) <= 1e-12
-
-    def test_symmetric_lens(self):
-        pts = circle_pair_points(Disk(Point(0, 0), 1), Disk(Point(1, 0), 1))
-        assert len(pts) == 2
-        expected = {(0.5, SQRT3 / 2), (0.5, -SQRT3 / 2)}
-        got = {(round(p.x, 12), round(p.y, 12)) for p in pts}
-        assert got == {(x, round(y, 12)) for x, y in expected}
-
-    def test_disjoint_empty(self):
-        assert circle_pair_points(Disk(Point(0, 0), 1), Disk(Point(3, 0), 1)) == []
-
-    def test_nested_empty(self):
-        assert circle_pair_points(Disk(Point(0, 0), 3), Disk(Point(0.5, 0), 1)) == []
-
-    def test_internal_tangency(self):
-        pts = circle_pair_points(Disk(Point(0, 0), 3), Disk(Point(1, 0), 2))
-        assert len(pts) == 1
-        assert distance(pts[0], Point(3, 0)) <= 1e-12
-
-    def test_identical_circles_error(self):
-        with pytest.raises(ValueError):
-            circle_pair_points(Disk(Point(0, 0), 1), Disk(Point(0, 0), 1))
-
-    def test_points_lie_on_both_circles(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            c1 = Point(*rng.uniform(-2, 2, 2))
-            c2 = Point(*rng.uniform(-2, 2, 2))
-            r1, r2 = rng.uniform(0.3, 2.5, 2)
-            try:
-                pts = circle_pair_points(Disk(c1, r1), Disk(c2, r2))
-            except ValueError:
-                continue
-            for p in pts:
-                assert abs(distance(p, c1) - r1) <= DEFAULT_TOL.eps_geom
-                assert abs(distance(p, c2) - r2) <= DEFAULT_TOL.eps_geom
-
-
-class TestInnermostPoint:
-    def test_tangent_triple(self):
-        d1 = Disk(Point(0, 0), 1)
-        d2 = Disk(Point(2, 0), 1)
-        d3 = Disk(Point(1, SQRT3), 1)
-        assert distance(innermost_point(d1, d2, d3), Point(1, 0)) <= 1e-12
-
-    def test_closer_to_third_center(self):
-        d1 = Disk(Point(0, 0), 1)
-        d2 = Disk(Point(1, 0), 1)
-        d3 = Disk(Point(0.5, -5), 5)
-        p = innermost_point(d1, d2, d3)
-        assert distance(p, Point(0.5, -SQRT3 / 2)) <= 1e-12
-
-    def test_symmetric_tie_breaks_lexicographically(self):
-        d1 = Disk(Point(0, 0), 1)
-        d2 = Disk(Point(1, 0), 1)
-        d3 = Disk(Point(0.5, 0), 1)  # equidistant from both candidates
-        p = innermost_point(d1, d2, d3)
-        assert distance(p, Point(0.5, -SQRT3 / 2)) <= 1e-12
-
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            innermost_point(
-                Disk(Point(0, 0), 1), Disk(Point(5, 0), 1), Disk(Point(2, 0), 1)
-            )
-
-
-class TestFermatPoint:
-    def test_equilateral_centroid(self):
-        f = fermat_point(Point(0, 0), Point(1, 0), Point(0.5, SQRT3 / 2))
-        assert distance(f, Point(0.5, SQRT3 / 6)) <= 1e-9
-
-    def test_obtuse_apex_is_vertex(self):
-        f = fermat_point(Point(0, 0), Point(1, 0), Point(0.5, 0.01))
-        assert f == Point(0.5, 0.01)
-
-    def test_collinear_median(self):
-        assert fermat_point(Point(0, 0), Point(1, 0), Point(2, 0)) == Point(1, 0)
-
-    def test_repeated_vertex(self):
-        assert fermat_point(Point(0, 0), Point(0, 0), Point(3, 0)) == Point(0, 0)
-
-    def test_local_optimality_against_perturbations(self):
-        rng = np.random.default_rng(12)
-        for _ in range(25):
-            a, b, c = (Point(*rng.uniform(-1, 1, 2)) for _ in range(3))
-            try:
-                f = fermat_point(a, b, c)
-            except ValueError:
-                continue
-            total = distance(f, a) + distance(f, b) + distance(f, c)
-            for _ in range(40):
-                radius = 10.0 ** rng.uniform(-4, -1)
-                angle = rng.uniform(0, 2 * math.pi)
-                q = Point(f.x + radius * math.cos(angle), f.y + radius * math.sin(angle))
-                perturbed = distance(q, a) + distance(q, b) + distance(q, c)
-                assert total <= perturbed + 1e-9
-
-    def test_isogonic_angles(self):
-        # Interior case subtends 2*pi/3 to every side.
-        a, b, c = Point(0, 0), Point(4, 0), Point(1, 2)
-        f = fermat_point(a, b, c)
-        for p, q in ((a, b), (b, c), (c, a)):
-            v1 = (p.x - f.x, p.y - f.y)
-            v2 = (q.x - f.x, q.y - f.y)
-            cosang = (v1[0] * v2[0] + v1[1] * v2[1]) / (
-                math.hypot(*v1) * math.hypot(*v2)
-            )
-            assert abs(cosang + 0.5) <= 1e-8
-
-
 class TestEndpointBound:
     def test_examples(self):
         assert endpoint_bound(0.0, 1.0) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
@@ -282,6 +164,21 @@ class TestEndpointBound:
             endpoint_bound(-0.1, 1.0)
         with pytest.raises(ValueError):
             endpoint_bound(1.1, 1.0)
+
+    def test_arrays_match_scalars(self):
+        xs = np.linspace(0.0, 1.5, 7)
+        assert endpoint_bound(xs, 1.5).tolist() == [endpoint_bound(float(x), 1.5) for x in xs]
+        rs = np.array([0.5, 1.0, 2.0])
+        assert endpoint_bound(0.0, rs).tolist() == [endpoint_bound(0.0, float(r)) for r in rs]
+        assert isinstance(endpoint_bound(0.5, 1.0), float)
+
+    def test_array_domain_checks_every_element(self):
+        with pytest.raises(ValueError):
+            endpoint_bound(np.array([0.0, 0.5, 1.01]), 1.0)
+        with pytest.raises(ValueError):
+            endpoint_bound(np.array([0.0, -1e-12]), 1.0)
+        with pytest.raises(ValueError):
+            endpoint_bound(0.0, np.array([1.0, 0.0]))
 
     def test_maximum_at_zero(self):
         rng = np.random.default_rng(3)
@@ -344,6 +241,15 @@ class TestDiameterBound:
             diameter_bound(-0.01)
         with pytest.raises(ValueError):
             diameter_bound(math.pi + 0.01)
+
+    def test_arrays_match_scalars_and_check_every_element(self):
+        alphas = np.linspace(0.0, math.pi, 9)
+        assert diameter_bound(alphas).tolist() == pytest.approx(
+            [diameter_bound(float(a)) for a in alphas], abs=1e-15
+        )
+        assert isinstance(diameter_bound(1.0), float)
+        with pytest.raises(ValueError):
+            diameter_bound(np.array([0.0, 1.0, math.pi + 1e-9]))
 
     def test_maximum_at_pi_over_three(self):
         rng = np.random.default_rng(6)
