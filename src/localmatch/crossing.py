@@ -1,5 +1,11 @@
-"""Pairwise-crossing matchings: detection, half-plane balance, uniqueness
-via enumeration, and global maximality checked against the exact oracle.
+"""Pairwise-crossing matchings: detection, half-plane balance, an exact
+backtracking search that counts every crossing matching (so uniqueness is
+checked at any size), and global maximality checked against the exact
+oracle.
+
+The crossing, balance and search predicates read one table of exact
+orientations: ``left[a][b]`` is the bitmask of the points strictly left of
+the directed line a -> b.
 """
 
 from __future__ import annotations
@@ -9,14 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import DEFAULT_TOL, Segment, Tolerance, orientation, segments_cross
+from .geometry import DEFAULT_TOL, Tolerance, orientation
 from .matching import (
     DEFAULT_ORACLE_CAP,
-    ENUMERATION_CAP,
-    CapExceededError,
     Matching,
     PointSet,
-    enumerate_matchings,
     optimal_matching,
     weight,
 )
@@ -36,7 +39,7 @@ Pair = tuple[int, int]
 
 
 class GeneralPositionError(ValueError):
-    """Three collinear points (or a point on an edge's line) were found."""
+    """Three of the points are collinear."""
 
 
 @dataclass(frozen=True)
@@ -48,69 +51,56 @@ class CrossingReport:
     globally_maximum: Optional[bool] = None
 
 
-def _assert_general_position(ps: PointSet) -> None:
-    for a, b, c in itertools.combinations(range(len(ps)), 3):
-        if orientation(ps[a], ps[b], ps[c]) == 0:
+def _left_of(ps: PointSet) -> list[list[int]]:
+    """left[a][b] is the bitmask of the points strictly left of the directed
+    line a -> b. One orientation call per point triple; a collinear triple
+    raises GeneralPositionError."""
+    n = len(ps)
+    left = [[0] * n for _ in range(n)]
+    for a, b, c in itertools.combinations(range(n), 3):
+        side = orientation(ps[a], ps[b], ps[c])
+        if side == 0:
             raise GeneralPositionError(f"points {a}, {b}, {c} are collinear")
+        if side < 0:
+            a, b = b, a
+        # (a, b, c) is now counter-clockwise: each vertex lies left of the
+        # directed edge opposite it.
+        left[a][b] |= 1 << c
+        left[b][c] |= 1 << a
+        left[c][a] |= 1 << b
+    return left
 
 
-def _segment(ps: PointSet, pair: Pair) -> Segment:
-    return Segment(ps[pair[0]], ps[pair[1]])
-
-
-def _first_non_crossing_pair(
-    ps: PointSet, m: Matching, tol: Tolerance
-) -> Optional[tuple[Pair, Pair]]:
-    segs = [_segment(ps, pair) for pair in m.pairs]
-    for (i, s1), (j, s2) in itertools.combinations(enumerate(segs), 2):
-        if not segments_cross(s1, s2, tol):
-            return m.pairs[i], m.pairs[j]
-    return None
+def _cross(left: list[list[int]], a: int, b: int, c: int, d: int) -> bool:
+    """Segments ab and cd (four distinct points) properly cross: c and d lie
+    on opposite sides of line ab, and a and b on opposite sides of line cd."""
+    return bool((left[a][b] >> c ^ left[a][b] >> d) & (left[c][d] >> a ^ left[c][d] >> b) & 1)
 
 
 def is_pairwise_crossing(ps: PointSet, m: Matching, tol: Tolerance = DEFAULT_TOL) -> CrossingReport:
     """All-pairs proper-crossing check; the point set must be in general
     position (no three collinear points) or GeneralPositionError is raised.
 
-    The returned report is partial: uniqueness and global maximality stay
-    None (they need the enumeration and oracle caps; see
-    full_crossing_report).
+    The predicates are exact, so ``tol`` does not enter the verdict. The
+    returned report is partial: uniqueness and global maximality stay None
+    (see full_crossing_report).
     """
     if not m.is_perfect_on(ps):
         raise ValueError("matching must be perfect on the point set")
-    _assert_general_position(ps)
-    bad = _first_non_crossing_pair(ps, m, tol)
-    if bad is not None:
-        return CrossingReport(
-            is_pairwise_crossing=False, non_crossing_pair=bad, balance_ok=False
-        )
+    left = _left_of(ps)
+    for e, f in itertools.combinations(m.pairs, 2):
+        if not _cross(left, *e, *f):
+            return CrossingReport(
+                is_pairwise_crossing=False, non_crossing_pair=(e, f), balance_ok=False
+            )
+    # In general position the n - 2 other points split between the two
+    # sides, so (n - 2) / 2 on the left means as many on the right.
+    half = (len(ps) - 2) // 2
     return CrossingReport(
         is_pairwise_crossing=True,
         non_crossing_pair=None,
-        balance_ok=_halfplane_balance_checked(ps, m),
+        balance_ok=all(left[a][b].bit_count() == half for a, b in m.pairs),
     )
-
-
-def _halfplane_balance_checked(ps: PointSet, m: Matching) -> bool:
-    n = len(ps)
-    expected = (n - 2) // 2
-    for i, j in m.pairs:
-        left = right = 0
-        for v in range(n):
-            if v == i or v == j:
-                continue
-            side = orientation(ps[i], ps[j], ps[v])
-            if side == 0:
-                raise GeneralPositionError(
-                    f"point {v} lies on the line through edge ({i}, {j})"
-                )
-            if side > 0:
-                left += 1
-            else:
-                right += 1
-        if left != expected or right != expected:
-            return False
-    return True
 
 
 def halfplane_balance(ps: PointSet, m: Matching, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -130,23 +120,44 @@ def halfplane_balance(ps: PointSet, m: Matching, tol: Tolerance = DEFAULT_TOL) -
 def find_pairwise_crossing(
     ps: PointSet, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[Optional[Matching], int]:
-    """Scan all perfect matchings for pairwise crossing ones.
+    """Find every pairwise crossing perfect matching by exact backtracking.
 
-    Returns the first one found (None if none exists) and the total count,
-    which the uniqueness theorem predicts to be 0 or 1.
+    Returns the first one in the order of ``enumerate_matchings`` (None if
+    none exists) and the total count, which the uniqueness theorem predicts
+    to be 0 or 1. Every edge of a crossing matching is crossed by all the
+    others, so it is a halving edge: (n - 2) / 2 points lie on each side.
+    The search therefore pairs the lowest free point only with its halving
+    partners, in ascending order, and keeps an edge only if it crosses
+    every edge already chosen; the count is exact at any n, and halving
+    edges are few (O(n^(4/3)), Dey 1998), which bounds the branching. Raises
+    ValueError for an odd number of points and GeneralPositionError for
+    collinear ones; ``tol`` does not enter the exact predicates.
     """
-    if len(ps) > ENUMERATION_CAP:
-        raise CapExceededError(
-            f"{len(ps)} points exceeds the enumeration cap of {ENUMERATION_CAP}"
-        )
-    _assert_general_position(ps)
+    n = len(ps)
+    if n % 2:
+        raise ValueError(f"point set has odd cardinality {n}")
+    left = _left_of(ps)
+    half = (n - 2) // 2
+    partners = [[b for b in range(a + 1, n) if left[a][b].bit_count() == half] for a in range(n)]
+    chosen: list[Pair] = []
     found: Optional[Matching] = None
     count = 0
-    for m in enumerate_matchings(ps):
-        if _first_non_crossing_pair(ps, m, tol) is None:
+
+    def extend(free: int) -> None:
+        nonlocal found, count
+        if not free:
             count += 1
             if found is None:
-                found = m
+                found = Matching(chosen)
+            return
+        a = (free & -free).bit_length() - 1
+        for b in partners[a]:
+            if free >> b & 1 and all(_cross(left, a, b, c, d) for c, d in chosen):
+                chosen.append((a, b))
+                extend(free ^ (1 << a | 1 << b))
+                chosen.pop()
+
+    extend((1 << n) - 1)
     return found, count
 
 
@@ -186,15 +197,12 @@ def full_crossing_report(
     tol: Tolerance = DEFAULT_TOL,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> CrossingReport:
-    """Crossing/balance check plus uniqueness and global maximality where
-    the enumeration and oracle caps allow."""
+    """Crossing/balance check, uniqueness at any size (from the exact
+    search's count), and global maximality where the oracle cap allows."""
     base = is_pairwise_crossing(ps, m, tol)
     if not base.is_pairwise_crossing:
         return base
-    unique: Optional[bool] = None
-    if len(ps) <= ENUMERATION_CAP:
-        _, count = find_pairwise_crossing(ps, tol)
-        unique = count == 1
+    _, count = find_pairwise_crossing(ps, tol)
     globally_maximum: Optional[bool] = None
     if len(ps) <= 2 * cap:
         globally_maximum = verify_globally_maximum(ps, m, tol, cap)
@@ -202,6 +210,6 @@ def full_crossing_report(
         is_pairwise_crossing=True,
         non_crossing_pair=None,
         balance_ok=base.balance_ok,
-        unique=unique,
+        unique=count == 1,
         globally_maximum=globally_maximum,
     )

@@ -224,10 +224,16 @@ def enumerate_matchings(ps: PointSet) -> Iterator[Matching]:
     if n > ENUMERATION_CAP:
         raise CapExceededError(f"{n} points exceeds the enumeration cap of {ENUMERATION_CAP}")
     for pairs in _pairings(n):
-        yield Matching(pairs)
+        # _pairings emits disjoint (low, high) pairs in sorted order, so the
+        # constructor's normalisation and checks are skipped.
+        m = object.__new__(Matching)
+        object.__setattr__(m, "pairs", pairs)
+        yield m
 
 
 def _pairings(n: int) -> Iterator[tuple[Pair, ...]]:
+    """Every pairing of range(n), each a sorted tuple of (low, high) pairs:
+    the lowest free index is paired first, with partners in ascending order."""
     def rec(free: tuple[int, ...]) -> Iterator[tuple[Pair, ...]]:
         if not free:
             yield ()

@@ -271,6 +271,18 @@ def pairwise_crossing(scale: int) -> Verdict:
         m = convex_diagonal_matching(ps)
         convex_crossing &= is_pairwise_crossing(ps, m).is_pairwise_crossing
         convex_unique &= find_pairwise_crossing(ps)[1] == 1
+    # Beyond 12 points only the exact search can state uniqueness;
+    # gen_convex's rejection sampling stops n at 16.
+    n_large = 15 // scale
+    large_unique = True
+    for i in range(n_large):
+        ps = gen_convex(12 + 2 * (i % 3), seed=167_000 + i)
+        found, matches = find_pairwise_crossing(ps)
+        large_unique &= (
+            matches == 1
+            and found == convex_diagonal_matching(ps)
+            and verify_globally_maximum(ps, found)
+        )
     return Verdict(
         {
             "at most one crossing matching": at_most_one,
@@ -279,8 +291,10 @@ def pairwise_crossing(scale: int) -> Verdict:
             "crossing matchings globally maximum": global_max,
             "convex diagonal matching pairwise crossing": convex_crossing,
             "convex crossing matching unique": convex_unique,
+            "convex diagonal matching unique and globally maximum at 12-16 points": large_unique,
         },
-        f"{count} random sets ({found_count} admit a crossing matching); {n_convex} convex sets",
+        f"{count} random sets ({found_count} admit a crossing matching); {n_convex} convex sets; "
+        f"{n_large} convex sets at 12-16 points",
     )
 
 

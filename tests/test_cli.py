@@ -175,6 +175,18 @@ class TestCrossingCommand:
         assert report["unique"] is True
         assert report["globally_maximum"] is True
 
+    def test_unique_beyond_twelve_points(self, tmp_path):
+        n = 14
+        angles = [2 * math.pi * (t + 0.1) / n for t in range(n)]
+        points = [[math.cos(a), math.sin(a)] for a in angles]
+        diagonals = [[t, t + n // 2] for t in range(n // 2)]
+        inp = write_json(tmp_path / "circle.json", {"points": points, "matching": diagonals})
+        out = tmp_path / "cross.json"
+        assert main(["crossing", "--input", inp, "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["unique"] is True
+        assert report["globally_maximum"] is True
+
     def test_collinear_input_exit_1(self, tmp_path):
         inp = write_json(
             tmp_path / "col.json",

@@ -1,9 +1,12 @@
 """Tests for pairwise-crossing matching detection, balance, uniqueness,
 and global maximality."""
 
+import itertools
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localmatch import crossing
 from localmatch.crossing import (
@@ -16,8 +19,14 @@ from localmatch.crossing import (
     verify_globally_maximum,
 )
 from localmatch.generators import gen_convex, gen_random
-from localmatch.geometry import Point
-from localmatch.matching import Matching, PointSet, is_k_local_max, weight
+from localmatch.geometry import Point, Segment, segments_cross
+from localmatch.matching import (
+    Matching,
+    PointSet,
+    enumerate_matchings,
+    is_k_local_max,
+    weight,
+)
 
 
 def unit_square():
@@ -28,6 +37,38 @@ def regular_hexagon():
     return PointSet(
         [Point(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
     )
+
+
+def circle_points(n, seed):
+    """n points at seeded random angles on the unit circle: convex position,
+    no three collinear, and any n (gen_convex stops near 16)."""
+    rng = random.Random(seed)
+    angles = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(n))
+    return PointSet([Point(math.cos(t), math.sin(t)) for t in angles])
+
+
+def jittered_lattice(n, seed):
+    """n distinct cells of a 4x4 unit lattice, each moved by at most 1e-6:
+    many nearly collinear triples and nearly parallel edges."""
+    rng = random.Random(seed)
+    cells = rng.sample([(x, y) for x in range(4) for y in range(4)], n)
+    return PointSet(
+        [Point(x + rng.uniform(-1e-6, 1e-6), y + rng.uniform(-1e-6, 1e-6)) for x, y in cells]
+    )
+
+
+def brute_force_crossing(ps):
+    """Reference for find_pairwise_crossing: scan all matchings in
+    enumeration order with the segment predicate, which shares no code with
+    the search's orientation table."""
+    found, count = None, 0
+    for m in enumerate_matchings(ps):
+        segments = [Segment(ps[i], ps[j]) for i, j in m.pairs]
+        if all(segments_cross(s, t) for s, t in itertools.combinations(segments, 2)):
+            count += 1
+            if found is None:
+                found = m
+    return found, count
 
 
 class TestIsPairwiseCrossing:
@@ -79,6 +120,68 @@ class TestFindPairwiseCrossing:
         ps = PointSet([Point(0, 0), Point(4, 0), Point(2, 3), Point(2, 1)])
         found, count = find_pairwise_crossing(ps)
         assert found is None and count == 0
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            lambda n, seed: gen_random(n, seed=seed),
+            lambda n, seed: gen_convex(n, seed=seed),
+            jittered_lattice,
+        ],
+        ids=["random", "convex", "jittered-lattice"],
+    )
+    def test_matches_brute_force(self, family):
+        existing = 0
+        for n in (4, 6, 8, 10, 12):
+            for i in range(10 if n < 12 else 2):
+                ps = family(n, 34_000 + 100 * n + i)
+                found, count = find_pairwise_crossing(ps)
+                assert (found, count) == brute_force_crossing(ps)
+                existing += count
+        assert existing > 5  # the family exercises found matchings too
+
+    @given(
+        family=st.sampled_from([gen_random, gen_convex]),
+        n=st.sampled_from([4, 6, 8, 10, 12]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_relabelling(self, family, n, seed, data):
+        ps = family(n, seed=seed)
+        perm = data.draw(st.permutations(range(n)))
+        moved = [None] * n
+        for i, p in enumerate(ps.points):
+            moved[perm[i]] = p
+        found, count = find_pairwise_crossing(ps)
+        found_moved, count_moved = find_pairwise_crossing(PointSet(moved))
+        assert count_moved == count
+        if found is None:
+            assert found_moved is None
+        else:
+            assert found_moved == Matching((perm[i], perm[j]) for i, j in found.pairs)
+
+    @pytest.mark.parametrize("n", range(14, 42, 2))
+    def test_points_on_a_circle_beyond_enumeration(self, n):
+        ps = circle_points(n, seed=35_000 + n)
+        found, count = find_pairwise_crossing(ps)
+        assert count == 1
+        assert found == convex_diagonal_matching(ps)
+
+    def test_no_enumeration_cap(self):
+        # 14 points is above ENUMERATION_CAP; the search has no size cap.
+        _, count = find_pairwise_crossing(gen_random(14, seed=36_000))
+        assert count in (0, 1)
+
+    def test_collinear_input_rejected(self):
+        ps = PointSet([Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 1)])
+        with pytest.raises(GeneralPositionError, match="points 0, 1, 2 are collinear"):
+            find_pairwise_crossing(ps)
+
+    def test_odd_cardinality_rejected(self):
+        ps = PointSet([Point(0, 0), Point(4, 0), Point(2, 3), Point(2, 1), Point(1, 5)])
+        with pytest.raises(ValueError, match="odd"):
+            find_pairwise_crossing(ps)
 
 
 class TestVerifyGloballyMaximum:
@@ -146,6 +249,13 @@ class TestFullCrossingReport:
         assert report.unique is True
         assert report.globally_maximum is True
 
+    def test_unique_beyond_enumeration_maximum_beyond_oracle_cap(self):
+        ps = circle_points(30, seed=37_000)
+        report = full_crossing_report(ps, convex_diagonal_matching(ps))
+        assert report.is_pairwise_crossing and report.balance_ok
+        assert report.unique is True
+        assert report.globally_maximum is None  # 30 points > the oracle's 2 * 13
+
     def test_non_crossing_partial(self):
         report = full_crossing_report(unit_square(), Matching([(0, 1), (2, 3)]))
         assert not report.is_pairwise_crossing
@@ -155,7 +265,5 @@ class TestFullCrossingReport:
         # Direct statement of the maximality theorem on a hexagon.
         ps = regular_hexagon()
         found, _ = find_pairwise_crossing(ps)
-        from localmatch.matching import enumerate_matchings
-
         w = weight(found, ps)
         assert all(weight(m, ps) <= w + 1e-12 for m in enumerate_matchings(ps))

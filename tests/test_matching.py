@@ -223,6 +223,15 @@ class TestEnumerateMatchings:
         with pytest.raises(CapExceededError):
             list(enumerate_matchings(gen_random(14, seed=2)))
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_equal_to_constructed_matchings(self, n):
+        ms = list(enumerate_matchings(gen_random(n, seed=n)))
+        assert len(ms) == math.prod(range(n - 1, 0, -2))
+        assert len(set(ms)) == len(ms)
+        for m in ms:
+            built = Matching(m.pairs)
+            assert m == built and m.pairs == built.pairs and hash(m) == hash(built)
+
 
 class TestIsKLocal:
     def test_any_matching_is_1_local(self):
