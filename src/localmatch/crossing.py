@@ -87,7 +87,10 @@ def is_pairwise_crossing(ps: PointSet, m: Matching, tol: Tolerance = DEFAULT_TOL
     """
     if not m.is_perfect_on(ps):
         raise ValueError("matching must be perfect on the point set")
-    left = _left_of(ps)
+    return _crossing_report(_left_of(ps), m)
+
+
+def _crossing_report(left: list[list[int]], m: Matching) -> CrossingReport:
     for e, f in itertools.combinations(m.pairs, 2):
         if not _cross(left, *e, *f):
             return CrossingReport(
@@ -95,7 +98,7 @@ def is_pairwise_crossing(ps: PointSet, m: Matching, tol: Tolerance = DEFAULT_TOL
             )
     # In general position the n - 2 other points split between the two
     # sides, so (n - 2) / 2 on the left means as many on the right.
-    half = (len(ps) - 2) // 2
+    half = (len(left) - 2) // 2
     return CrossingReport(
         is_pairwise_crossing=True,
         non_crossing_pair=None,
@@ -136,7 +139,11 @@ def find_pairwise_crossing(
     n = len(ps)
     if n % 2:
         raise ValueError(f"point set has odd cardinality {n}")
-    left = _left_of(ps)
+    return _search(_left_of(ps))
+
+
+def _search(left: list[list[int]]) -> tuple[Optional[Matching], int]:
+    n = len(left)
     half = (n - 2) // 2
     partners = [[b for b in range(a + 1, n) if left[a][b].bit_count() == half] for a in range(n)]
     chosen: list[Pair] = []
@@ -173,6 +180,10 @@ def verify_globally_maximum(
         raise ValueError(
             f"matching is not pairwise crossing (pair {report.non_crossing_pair})"
         )
+    return _is_maximum(ps, m, tol, cap)
+
+
+def _is_maximum(ps: PointSet, m: Matching, tol: Tolerance, cap: int) -> bool:
     opt = optimal_matching(ps, "maximize", cap)
     w_max = weight(opt, ps)
     return weight(m, ps) >= w_max - tol.eps_geom * w_max
@@ -198,14 +209,18 @@ def full_crossing_report(
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> CrossingReport:
     """Crossing/balance check, uniqueness at any size (from the exact
-    search's count), and global maximality where the oracle cap allows."""
-    base = is_pairwise_crossing(ps, m, tol)
+    search's count), and global maximality where the oracle cap allows.
+    The three read one left-of table."""
+    if not m.is_perfect_on(ps):
+        raise ValueError("matching must be perfect on the point set")
+    left = _left_of(ps)
+    base = _crossing_report(left, m)
     if not base.is_pairwise_crossing:
         return base
-    _, count = find_pairwise_crossing(ps, tol)
+    _, count = _search(left)
     globally_maximum: Optional[bool] = None
     if len(ps) <= 2 * cap:
-        globally_maximum = verify_globally_maximum(ps, m, tol, cap)
+        globally_maximum = _is_maximum(ps, m, tol, cap)
     return CrossingReport(
         is_pairwise_crossing=True,
         non_crossing_pair=None,

@@ -1,15 +1,24 @@
 """Matchings on planar point sets: an exact optimum oracle for small
 instances, k-locality verification, k-local search, and alternating-cycle
 decomposition of two matchings.
+
+The oracle and the locality scans solve one subset recurrence: pair the
+lowest free index with each other free one.  Small calls run it as a
+scalar memo (``_dp_optimal``); larger ones run it level by level in numpy
+over a batch of index sets at once (``_batch_optimal``), with bit-for-bit
+the same weights and pairs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Literal, Optional, Sequence, Union
+from typing import Iterator, Literal, NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 from .geometry import DEFAULT_TOL, Point, Tolerance
 
@@ -37,8 +46,10 @@ Pair = tuple[int, int]
 Objective = Literal["maximize", "minimize"]
 
 # Oracle cap counts edges: up to 13 pairs / 26 points for the subset DP.
-# One call at 26 points takes ~1.1 s and ~70 MB peak RSS on a 2.1 GHz Xeon
-# core (Python 3.11); each further pair costs ~3x the time.
+# In a fresh interpreter the first call at 26 points, plan build included,
+# takes ~0.22 s and peaks at ~69 MB RSS (the scalar memo: ~1.2 s, 105 MB);
+# later calls reuse the plan and take ~0.04 s.  Shared 2-core 2.1 GHz Xeon
+# VM, Python 3.11, numpy 2.4.  Each further pair costs ~3x time and memory.
 DEFAULT_ORACLE_CAP = 13
 # Full enumeration stays below 10395 matchings (12 points).
 ENUMERATION_CAP = 12
@@ -75,6 +86,13 @@ class PointSet:
         """Dense pairwise distance matrix."""
         cs = self.coords
         return tuple(tuple(math.dist(a, b) for b in cs) for a in cs)
+
+    @cached_property
+    def _dist_array(self) -> np.ndarray:
+        """``dist`` as a read-only float64 array holding the same floats."""
+        d = np.array(self.dist, dtype=np.float64).reshape(len(self.points), len(self.points))
+        d.flags.writeable = False
+        return d
 
 
 @dataclass(frozen=True)
@@ -154,6 +172,9 @@ def _dp_optimal(dist, indices: Sequence[int], objective: Objective) -> tuple[flo
     the lexicographically smallest pair sequence because partners are
     scanned in ascending order and only strict improvements replace the
     incumbent.
+
+    This scalar form serves calls too small for ``_batch_optimal`` to pay
+    (see ``_BATCH_MIN_WORK``) and is the tests' reference for it.
     """
     k = len(indices)
     if k == 0:
@@ -195,13 +216,144 @@ def _dp_optimal(dist, indices: Sequence[int], objective: Objective) -> tuple[flo
     return total, tuple(pairs)
 
 
+class _Level(NamedTuple):
+    """One level of the recurrence: its S states all have ``width + 1`` free
+    positions.  Transition ``j * S + s`` pairs state s's lowest free
+    position with its j-th other free one (ascending); ``lin`` holds
+    ``low * k + partner`` and ``tails`` the index of the state left over in
+    the level below.  Partner-major order puts the states' candidates for
+    one j side by side, which makes the arg-extremum over j ~2x faster than
+    over a contiguous last axis (numpy 2.4)."""
+
+    width: int
+    lin: np.ndarray
+    tails: np.ndarray
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = a.astype(np.uint16)
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
+def _plan(k: int) -> tuple[_Level, ...]:
+    """The reachable states of the k-position recurrence, top level first.
+
+    A state is a mask of free positions; each level's states are sorted by
+    mask.  At k = 20 there are 10,945 states and 89,665 transitions, at 26
+    196,417 and 2,136,001; the largest level (50,388 states at 26) and
+    k * k both fit uint16.  Called only for even k <= _PLAN_MAX, so the
+    cache holds at most 13 plans.
+    """
+    masks = np.array([(1 << k) - 1], dtype=np.int32)
+    cols = np.arange(k, dtype=np.int32)[None, :]  # free positions of each state
+    levels = []
+    for p in range(k, 0, -2):
+        width = p - 1
+        low, partners = cols[:, :1], cols[:, 1:]
+        tails = (masks[:, None] ^ (1 << low) ^ (1 << partners)).T.ravel()
+        states = len(masks)
+        masks, index = np.unique(tails, return_inverse=True)
+        levels.append(_Level(width, _frozen((low * k + partners).T.ravel()), _frozen(index)))
+        if p > 2:
+            # Free positions of each new state, read off one transition into
+            # it: its parent's positions without the pair it matched.
+            into = np.empty(len(masks), dtype=np.intp)
+            into[index] = np.arange(len(tails))
+            j, parent = np.divmod(into, states)
+            keep = np.array([[c for c in range(1, p) if c != i + 1] for i in range(width)])
+            cols = np.take_along_axis(cols[parent], keep[j], axis=1)
+    return tuple(levels)
+
+
+def _batch_optimal(
+    D: np.ndarray, rows: np.ndarray, objective: Objective
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Optimum perfect matchings on B index sets of one even size k at once.
+
+    ``rows`` is (B, k) indices into the distance array D.  Returns the (B,)
+    optimum weights and each level's (B, states) choices, top level first,
+    from which ``_batch_pairs`` reads a row's pairs.  Both equal
+    ``_dp_optimal`` on that row: level by level from the bottom, a
+    transition's candidate is the same sum ``best[tail] + dist[low][partner]``
+    of the same floats, and the first arg-extremum over a state's ascending
+    partners is the memo's strict-improvement choice, ties included.
+    """
+    b, k = rows.shape
+    local = D[rows[:, :, None], rows[:, None, :]].reshape(b, k * k)
+    best = np.zeros((b, 1))
+    choices = []
+    for level in reversed(_plan(k)):
+        cand = (best[:, level.tails] + local[:, level.lin]).reshape(b, level.width, -1)
+        if objective == "maximize":
+            choices.append(cand.argmax(axis=1))
+            best = cand.max(axis=1)
+        else:
+            choices.append(cand.argmin(axis=1))
+            best = cand.min(axis=1)
+    choices.reverse()
+    return best[:, 0], choices
+
+
+def _batch_pairs(rows: np.ndarray, choices: list[np.ndarray], r: int) -> tuple[Pair, ...]:
+    """Pairs of row r's optimum from ``_batch_optimal``'s choices, top down."""
+    k = rows.shape[1]
+    state = 0
+    pairs = []
+    for level, choice in zip(_plan(k), choices):
+        move = int(choice[r, state]) * (level.lin.size // level.width) + state
+        low, partner = divmod(int(level.lin[move]), k)
+        pairs.append((int(rows[r, low]), int(rows[r, partner])))
+        state = int(level.tails[move])
+    return tuple(pairs)
+
+
+# Plans are cached for even sizes up to the default oracle cap; larger
+# index sets (a raised cap, or scans of more than 13 edges at once) use the
+# scalar memo.
+_PLAN_MAX = 2 * DEFAULT_ORACLE_CAP
+# Calls solving fewer than this many transitions in all (index sets x
+# transitions per set) run the scalar memo: below it numpy's fixed cost per
+# level outweighs the memo's ~0.4 us per transition.  One oracle call
+# crosses over between 8 points (97 transitions: 40 us memo, 58 us batch)
+# and 10 (332: 148 vs 75 us).  For k_local_search plus its verdict, from
+# greedy on random sets (n = 8-16, k = 2-4), 300 was the fastest or within
+# ~10 % of the fastest of 60, 120, 300, 600, 1200 and "never batch"; the
+# miner's calls (at most 104) stay on the memo.  Shared 2-core 2.1 GHz
+# Xeon VM, Python 3.11, numpy 2.4.
+_BATCH_MIN_WORK = 300
+
+
+@functools.cache
+def _transitions(k: int) -> int:
+    """Transitions in the k-position recurrence, counted without a plan.
+
+    After t steps the free positions are the (k - 2t)-subsets whose minimum
+    c lies in [t, 2t]: all c positions below it are matched, among them the
+    t lowest-free ones, and the 2t - c others lie above it.
+    """
+    return sum(
+        math.comb(k - c - 1, 2 * t - c) * (k - 2 * t - 1)
+        for t in range(k // 2)
+        for c in range(t, 2 * t + 1)
+    )
+
+
+def _batched(sets: int, k: int) -> bool:
+    """Whether `sets` index sets of size k go to _batch_optimal."""
+    return k <= _PLAN_MAX and sets * _transitions(k) >= _BATCH_MIN_WORK
+
+
 def optimal_matching(
     ps: PointSet, objective: Objective = "maximize", cap: int = DEFAULT_ORACLE_CAP
 ) -> Matching:
     """Exact optimum perfect matching by dynamic programming over subsets.
 
-    Limited to 2*cap points (default 26) to bound the time and memory of
-    the reachable-state memo, which grows about 2.6x per added pair.
+    Small instances run the scalar memo ``_dp_optimal``, larger ones the
+    batched level-by-level form ``_batch_optimal``; both return the same
+    pairs, ties included.  Limited to 2*cap points (default 26) to bound
+    time and memory, which grow about 2.8x per added pair.
     """
     n = len(ps)
     if n % 2:
@@ -210,8 +362,11 @@ def optimal_matching(
         raise CapExceededError(f"{n} points exceeds the oracle cap of {2 * cap}")
     if objective not in ("maximize", "minimize"):
         raise ValueError(f"unknown objective {objective!r}")
-    _, pairs = _dp_optimal(ps.dist, range(n), objective)
-    return Matching(pairs)
+    if not _batched(1, n):
+        return Matching(_dp_optimal(ps.dist, range(n), objective)[1])
+    rows = np.arange(n)[None, :]
+    _, choices = _batch_optimal(ps._dist_array, rows, objective)
+    return Matching(_batch_pairs(rows, choices, 0))
 
 
 def enumerate_matchings(ps: PointSet) -> Iterator[Matching]:
@@ -249,7 +404,11 @@ def _pairings(n: int) -> Iterator[tuple[Pair, ...]]:
 
 
 def _subset_weight(dist, pairs: Sequence[Pair]) -> float:
-    return sum(dist[i][j] for i, j in pairs)
+    # Left to right, as the batched scan adds its columns.
+    total = 0.0
+    for i, j in pairs:
+        total += dist[i][j]
+    return total
 
 
 def _scan_k_subsets(
@@ -259,18 +418,52 @@ def _scan_k_subsets(
     endpoints, together with the optimal re-matching; None if k-local.
 
     Subsets are scanned in lexicographic order over the sorted edge list,
-    so reports are deterministic.
+    so reports are deterministic.  Enough subsets are solved together by
+    ``_batch_optimal``, with the same first violation and rematch as the
+    one-by-one loop.
     """
-    dist = ps.dist
-    scale = weight(m, ps)
-    threshold = tol.eps_geom * scale
+    threshold = tol.eps_geom * weight(m, ps)
     sign = 1.0 if objective == "maximize" else -1.0
+    if _batched(math.comb(len(m), k), 2 * k):
+        return _scan_batched(ps, m, k, threshold, sign, objective)
+    dist = ps.dist
     for subset in itertools.combinations(m.pairs, k):
         endpoints = sorted(i for pair in subset for i in pair)
         current = _subset_weight(dist, subset)
         opt_w, opt_pairs = _dp_optimal(dist, endpoints, objective)
         if sign * (opt_w - current) > threshold:
             return subset, opt_pairs
+    return None
+
+
+def _scan_batched(
+    ps: PointSet, m: Matching, k: int, threshold: float, sign: float, objective: Objective
+) -> Optional[tuple[tuple[Pair, ...], tuple[Pair, ...]]]:
+    """_scan_k_subsets' loop on blocks of subsets, in the same order and
+    with the same arithmetic: each block's current weights are summed
+    column by column in pair order, as _subset_weight adds them.
+
+    Blocks grow 4x from the crossover size, so a violation among the first
+    subsets (the common case inside k_local_search) costs about one small
+    batch, and a clean scan a few batch calls more than one.
+    """
+    D = ps._dist_array
+    pairs = np.array(m.pairs)
+    combos = itertools.combinations(range(len(m)), k)
+    size = -(-_BATCH_MIN_WORK // _transitions(2 * k))
+    while block := list(itertools.islice(combos, size)):
+        edges = pairs[np.array(block)]  # (rows, k, 2)
+        lengths = D[edges[:, :, 0], edges[:, :, 1]]
+        current = lengths[:, 0]
+        for c in range(1, k):
+            current = current + lengths[:, c]
+        rows = np.sort(edges.reshape(len(block), 2 * k), axis=1)
+        opt, choices = _batch_optimal(D, rows, objective)
+        hits = np.flatnonzero(sign * (opt - current) > threshold)
+        if hits.size:
+            first = int(hits[0])
+            return tuple(m.pairs[c] for c in block[first]), _batch_pairs(rows, choices, first)
+        size *= 4
     return None
 
 
@@ -363,7 +556,8 @@ def k_local_search(
         if violation is None:
             return m
         subset, replacement = violation
-        kept = [pair for pair in m.pairs if pair not in set(subset)]
+        dropped = set(subset)
+        kept = [pair for pair in m.pairs if pair not in dropped]
         m = Matching(kept + list(replacement))
 
 

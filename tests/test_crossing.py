@@ -256,6 +256,22 @@ class TestFullCrossingReport:
         assert report.unique is True
         assert report.globally_maximum is None  # 30 points > the oracle's 2 * 13
 
+    def test_one_orientation_per_triple(self, monkeypatch):
+        # The crossing check, the uniqueness search and the maximality check
+        # share one left-of table: C(26, 3) = 2,600 orientation calls.
+        ps = circle_points(26, seed=37_026)
+        m = convex_diagonal_matching(ps)
+        want = full_crossing_report(ps, m)
+        calls = []
+        orientation = crossing.orientation
+        monkeypatch.setattr(
+            crossing, "orientation", lambda *args: calls.append(args) or orientation(*args)
+        )
+        assert full_crossing_report(ps, m) == want
+        assert len(calls) == math.comb(26, 3)
+        assert want.is_pairwise_crossing and want.balance_ok
+        assert want.unique is True and want.globally_maximum is True
+
     def test_non_crossing_partial(self):
         report = full_crossing_report(unit_square(), Matching([(0, 1), (2, 3)]))
         assert not report.is_pairwise_crossing

@@ -4,10 +4,12 @@ cycle decomposition."""
 import itertools
 import math
 
+import numpy as np
 import pytest
 
+from localmatch import matching
 from localmatch.generators import gen_circle_alternating, gen_random
-from localmatch.geometry import Point
+from localmatch.geometry import DEFAULT_TOL, Point
 from localmatch.matching import (
     CapExceededError,
     Matching,
@@ -203,6 +205,111 @@ class TestOracleAgainstBlossom:
             assert weight(optimal_matching(ps, objective), ps) == pytest.approx(
                 nx_weight, rel=1e-9
             )
+
+
+def batch_instances():
+    """Random sets at every even n in 2..22, plus tie-rich ones: the 4x4
+    grid, regular polygons and alternating circles."""
+    for n in range(2, 24, 2):
+        for seed in range(2):
+            yield f"random{n}-{seed}", gen_random(n, seed=5000 + 10 * n + seed)
+    yield "grid4x4", golden_instance("grid4x4")
+    for n in (4, 6, 8, 12, 16, 20):
+        yield f"polygon{n}", regular_polygon(n)
+    for pairs in (3, 5, 8, 11):
+        yield f"circle{pairs}", gen_circle_alternating(pairs, 0.01)[0]
+
+
+class TestBatchedOracle:
+    """The level-by-level numpy recurrence against the scalar memo DP: the
+    same floats added in the same order, so weights agree bit for bit and
+    pairs agree, ties included."""
+
+    @pytest.mark.parametrize("objective", ["maximize", "minimize"])
+    def test_equal_to_memo_dp(self, objective):
+        for name, ps in batch_instances():
+            n = len(ps)
+            rows = np.arange(n)[None, :]
+            weights, choices = matching._batch_optimal(ps._dist_array, rows, objective)
+            want_w, want_pairs = matching._dp_optimal(ps.dist, range(n), objective)
+            assert float(weights[0]).hex() == want_w.hex(), name
+            assert matching._batch_pairs(rows, choices, 0) == want_pairs, name
+
+    @pytest.mark.parametrize("objective", ["maximize", "minimize"])
+    def test_many_rows_at_once(self, objective):
+        ps = golden_instance("grid4x4")
+        rng = np.random.default_rng(7)
+        for k in (2, 4, 6, 8):
+            rows = np.sort(np.array([rng.choice(16, k, replace=False) for _ in range(40)]), axis=1)
+            weights, choices = matching._batch_optimal(ps._dist_array, rows, objective)
+            for r, row in enumerate(rows.tolist()):
+                want_w, want_pairs = matching._dp_optimal(ps.dist, row, objective)
+                assert float(weights[r]).hex() == want_w.hex()
+                assert matching._batch_pairs(rows, choices, r) == want_pairs
+
+    def test_plan_sizes(self):
+        plan = matching._plan(20)
+        assert sum(level.lin.size // level.width for level in plan) == 10_945
+        assert sum(level.lin.size for level in plan) == 89_665
+        for k in range(2, 27, 2):
+            assert sum(level.lin.size for level in matching._plan(k)) == matching._transitions(k)
+
+    def test_plan_arrays_read_only(self):
+        for level in matching._plan(8):
+            for array in (level.lin, level.tails):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+    def test_oracle_selects_by_size(self, monkeypatch):
+        # The scalar memo serves 8 points (97 transitions) and the batch 10
+        # (332); either way the answer is the memo's.
+        built, plan = [], matching._plan
+        monkeypatch.setattr(matching, "_plan", lambda k: built.append(k) or plan(k))
+        for n in (8, 10):
+            ps = gen_random(n, seed=n)
+            for objective in ("maximize", "minimize"):
+                want = matching._dp_optimal(ps.dist, range(n), objective)[1]
+                assert optimal_matching(ps, objective).pairs == want
+        assert set(built) == {10}
+
+
+def scan(ps, m, k, objective, min_work, monkeypatch):
+    monkeypatch.setattr(matching, "_BATCH_MIN_WORK", min_work)
+    return matching._scan_k_subsets(ps, m, k, DEFAULT_TOL, objective)
+
+
+class TestBatchedScan:
+    @pytest.mark.parametrize("objective", ["maximize", "minimize"])
+    def test_equal_to_loop(self, objective, monkeypatch):
+        # Sizes on both sides of the selection constant: 3 x 6 = 18
+        # transitions (n = 6, k = 2) up to 210 x 97 (n = 20, k = 4).
+        below = above = 0
+        min_work = matching._BATCH_MIN_WORK
+        for i in range(48):
+            n = 6 + 2 * (i % 8)
+            k = min(2 + i % 3, n // 2)
+            ps = gen_random(n, seed=6000 + i)
+            for m in (greedy_matching(ps, objective), k_local_search(ps, k, objective=objective)):
+                loop = scan(ps, m, k, objective, math.inf, monkeypatch)
+                batch = scan(ps, m, k, objective, 1, monkeypatch)
+                assert batch == loop, (n, k)
+            if math.comb(n // 2, k) * matching._transitions(2 * k) >= min_work:
+                above += 1
+            else:
+                below += 1
+        assert below and above
+
+    def test_circle_verdicts_pin_criterion_9(self, monkeypatch):
+        # Criterion 9's threshold from both sides, by both scans: adjacent
+        # unit chords violate 2-locality at 22 pairs; none do at 23.
+        ps, red = gen_circle_alternating(22, 0.01)
+        report = is_k_local_min(ps, red, 2)
+        assert report.violating_subset == ((0, 1), (2, 3))
+        assert scan(ps, red, 2, "minimize", math.inf, monkeypatch)[0] == ((0, 1), (2, 3))
+        ps, red = gen_circle_alternating(23, 0.01)
+        assert is_k_local_min(ps, red, 2).is_local_max
+        assert scan(ps, red, 2, "minimize", math.inf, monkeypatch) is None
 
 
 class TestEnumerateMatchings:
