@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .geometry import DEFAULT_TOL, Disk, Point, Segment, Tolerance, diametral_disk, distance
+from .geometry import DEFAULT_TOL, Disk, Point, Segment, diametral_disk, distance
 from .matching import (
     DEFAULT_ORACLE_CAP,
     Matching,
@@ -40,7 +40,6 @@ __all__ = [
     "LocalityError",
     "WitnessError",
     "ENLARGEMENT_FACTOR",
-    "CERTIFICATE_KINDS",
     "diametral_family",
     "common_point",
     "check_witness",
@@ -53,7 +52,6 @@ __all__ = [
 ENLARGEMENT_FACTOR = 2.0 / math.sqrt(3.0)
 
 CertificateKind = Literal["local2", "local3_sqrt2", "local3_fingerhut"]
-CERTIFICATE_KINDS: tuple[str, ...] = ("local2", "local3_sqrt2", "local3_fingerhut")
 
 WitnessKind = Literal["diametral", "enlarged", "fingerhut"]
 
@@ -116,9 +114,9 @@ class CenterWitness:
     multipliers: tuple[float, ...] = ()
     scale: float = 1.0
 
-    def holds(self, tol: Tolerance = DEFAULT_TOL) -> bool:
+    def holds(self) -> bool:
         """Slack is nonpositive up to eps_opt in the instance's length unit."""
-        return self.slack <= tol.eps_opt * self.scale
+        return self.slack <= DEFAULT_TOL.eps_opt * self.scale
 
 
 @dataclass(frozen=True)
@@ -335,7 +333,7 @@ def _ellipse_pieces(m: Matching, ps: PointSet) -> _Pieces:
     )
 
 
-def _check_pieces(pieces: _Pieces, witness: CenterWitness, tol: Tolerance) -> None:
+def _check_pieces(pieces: _Pieces, witness: CenterWitness) -> None:
     """Re-verify, without the solver, that the witness point minimizes
     max_m f_m with value `witness.slack`.
 
@@ -349,7 +347,8 @@ def _check_pieces(pieces: _Pieces, witness: CenterWitness, tol: Tolerance) -> No
     subgradient of its distance.  Raises WitnessError naming the first
     condition that fails.
     """
-    atol = pieces.tolerance(tol.eps_geom)
+    eps = DEFAULT_TOL.eps_geom
+    atol = pieces.tolerance(eps)
     vtol = atol * pieces.lipschitz
     support, lam = witness.support, witness.multipliers
     n = len(pieces.foci)
@@ -370,7 +369,7 @@ def _check_pieces(pieces: _Pieces, witness: CenterWitness, tol: Tolerance) -> No
     for i in support:
         if vals[i] < witness.slack - vtol:
             raise WitnessError(f"support piece {i} is not active: slack {vals[i]:.6e}")
-    if min(lam) < -tol.eps_geom or abs(sum(lam) - 1.0) > tol.eps_geom:
+    if min(lam) < -eps or abs(sum(lam) - 1.0) > eps:
         raise WitnessError(f"multipliers {lam} are not convex weights")
     gx = gy = room = 0.0
     for i, l in zip(support, lam):
@@ -384,30 +383,28 @@ def _check_pieces(pieces: _Pieces, witness: CenterWitness, tol: Tolerance) -> No
             room += lw * atol / d
             gx += lw * dx / d
             gy += lw * dy / d
-    if math.hypot(gx, gy) > room + tol.eps_geom * pieces.lipschitz:
+    if math.hypot(gx, gy) > room + eps * pieces.lipschitz:
         raise WitnessError(f"weighted gradients leave residual {math.hypot(gx, gy):.3e}")
 
 
-def check_witness(df: DiskFamily, witness: CenterWitness, tol: Tolerance = DEFAULT_TOL) -> None:
+def check_witness(df: DiskFamily, witness: CenterWitness) -> None:
     """Re-verify, without the solver, that a disk witness minimizes
     max_i (|x - c_i| - r_i) over the scaled family (see `_check_pieces`);
     lengths are compared within eps_geom in the family's length unit.
     """
     if witness.kind == "fingerhut":
         raise WitnessError("a Fingerhut witness is checked by check_fingerhut_witness")
-    _check_pieces(_disk_pieces(*_disk_coordinates(df)), witness, tol)
+    _check_pieces(_disk_pieces(*_disk_coordinates(df)), witness)
 
 
-def check_fingerhut_witness(
-    m: Matching, ps: PointSet, witness: CenterWitness, tol: Tolerance = DEFAULT_TOL
-) -> None:
+def check_fingerhut_witness(m: Matching, ps: PointSet, witness: CenterWitness) -> None:
     """Re-verify, without the solver, that a Fingerhut witness minimizes
     max_i (|x - a_i| + |x - b_i|) / |a_i b_i| - 2/sqrt(3) over the edges of
     m (see `_check_pieces`); the support indexes m.pairs.
     """
     if witness.kind != "fingerhut":
         raise WitnessError(f"a {witness.kind} witness is checked by check_witness")
-    _check_pieces(_ellipse_pieces(m, ps), witness, tol)
+    _check_pieces(_ellipse_pieces(m, ps), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +586,12 @@ def diametral_family(m: Matching, ps: PointSet, scale: float = 1.0) -> DiskFamil
     return DiskFamily(tuple(disks), scale)
 
 
-def common_point(df: DiskFamily, tol: Tolerance = DEFAULT_TOL) -> CenterWitness:
+def common_point(df: DiskFamily) -> CenterWitness:
     """Point minimizing the maximum scaled-disk slack max_i(|xc_i| - r_i).
 
     The minimizer is exact up to rounding, and the witness names its support
     and multipliers; it is re-verified by `check_witness` before it is
-    returned.  The scaled family has a common point when `witness.holds(tol)`,
+    returned.  The scaled family has a common point when `witness.holds()`,
     i.e. slack is at most eps_opt in the family's length unit; positive slack
     beyond that means the intersection is empty.
     """
@@ -611,11 +608,11 @@ def common_point(df: DiskFamily, tol: Tolerance = DEFAULT_TOL) -> CenterWitness:
         multipliers=multipliers,
         scale=pieces.length,
     )
-    _check_pieces(pieces, witness, tol)
+    _check_pieces(pieces, witness)
     return witness
 
 
-def fingerhut_center(m: Matching, ps: PointSet, tol: Tolerance = DEFAULT_TOL) -> CenterWitness:
+def fingerhut_center(m: Matching, ps: PointSet) -> CenterWitness:
     """Point minimizing max_i (|xa_i| + |xb_i|) / |a_i b_i| over the edges.
 
     Slack is the achieved maximum minus 2/sqrt(3); a 3-local maximum
@@ -633,7 +630,7 @@ def fingerhut_center(m: Matching, ps: PointSet, tol: Tolerance = DEFAULT_TOL) ->
     # optimal within v with that edge as support.  The point found takes
     # that support within atol of such an endpoint; the lowest one replaces
     # the point unless worse by v.  Both happen only for optima within v of 1.
-    atol = pieces.tolerance(tol.eps_geom)
+    atol = pieces.tolerance(DEFAULT_TOL.eps_geom)
     limit = slack + atol * pieces.lipschitz
     for e, ends in enumerate(pieces.foci):
         for p in ends:
@@ -643,7 +640,7 @@ def fingerhut_center(m: Matching, ps: PointSet, tol: Tolerance = DEFAULT_TOL) ->
                 (x, y), slack, support, multipliers = q, max(vals), (e,), (1.0,)
                 limit = min(limit, slack)
     witness = CenterWitness(Point(float(x), float(y)), slack, "fingerhut", support, multipliers)
-    _check_pieces(pieces, witness, tol)
+    _check_pieces(pieces, witness)
     return witness
 
 
@@ -663,7 +660,6 @@ def certify(
     ps: PointSet,
     m: Matching,
     kind: CertificateKind,
-    tol: Tolerance = DEFAULT_TOL,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> Certificate:
     """Build and validate the full inequality chain for a k-local maximum
@@ -683,22 +679,22 @@ def certify(
     settings = _KIND_SETTINGS[kind]
     k = min(settings["k"], len(m))
     beta = settings["beta"]
-    locality = is_k_local_max(ps, m, k, tol)
+    locality = is_k_local_max(ps, m, k)
     if not locality.is_local_max:
         raise LocalityError(k, locality.violating_subset)
     if kind == "local2":
-        witness = common_point(diametral_family(m, ps, ENLARGEMENT_FACTOR), tol)
+        witness = common_point(diametral_family(m, ps, ENLARGEMENT_FACTOR))
     elif kind == "local3_sqrt2":
-        witness = common_point(diametral_family(m, ps, 1.0), tol)
+        witness = common_point(diametral_family(m, ps, 1.0))
     else:
-        witness = fingerhut_center(m, ps, tol)
-    if not witness.holds(tol):
+        witness = fingerhut_center(m, ps)
+    if not witness.holds():
         raise WitnessError(
-            f"witness slack {witness.slack:.3e} exceeds eps_opt {tol.eps_opt:.1e} "
+            f"witness slack {witness.slack:.3e} exceeds eps_opt {DEFAULT_TOL.eps_opt:.1e} "
             f"times length scale {witness.scale:.3e} for kind {kind}"
         )
     c = witness.point
-    edge_tol = tol.eps_opt * max(map(max, ps.dist))
+    edge_tol = DEFAULT_TOL.eps_opt * max(map(max, ps.dist))
     checks = []
     for i, j in m.pairs:
         lhs = distance(c, ps[i]) + distance(c, ps[j])
@@ -710,13 +706,13 @@ def certify(
         checks.append(((i, j), lhs, rhs))
     w_star = star_weight(c, ps)
     w_m = weight(m, ps)
-    if w_star > beta * w_m * (1.0 + tol.eps_opt):
+    if w_star > beta * w_m * (1.0 + DEFAULT_TOL.eps_opt):
         raise WitnessError(f"star weight {w_star:.12e} exceeds beta * w(M) = {beta * w_m:.12e}")
     oracle_weight: Optional[float] = None
     if len(ps) <= 2 * cap:
         opt = optimal_matching(ps, "maximize", cap)
         oracle_weight = weight(opt, ps)
-        if oracle_weight > w_star + tol.eps_geom * oracle_weight:
+        if oracle_weight > w_star + DEFAULT_TOL.eps_geom * oracle_weight:
             raise WitnessError(
                 f"triangle-inequality step failed: w(M*) = {oracle_weight:.12e} "
                 f"> w(S) = {w_star:.12e}"

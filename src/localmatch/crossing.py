@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import DEFAULT_TOL, Tolerance, orientation
+from .geometry import DEFAULT_TOL, orientation
 from .matching import (
     DEFAULT_ORACLE_CAP,
     Matching,
@@ -77,13 +77,12 @@ def _cross(left: list[list[int]], a: int, b: int, c: int, d: int) -> bool:
     return bool((left[a][b] >> c ^ left[a][b] >> d) & (left[c][d] >> a ^ left[c][d] >> b) & 1)
 
 
-def is_pairwise_crossing(ps: PointSet, m: Matching, tol: Tolerance = DEFAULT_TOL) -> CrossingReport:
+def is_pairwise_crossing(ps: PointSet, m: Matching) -> CrossingReport:
     """All-pairs proper-crossing check; the point set must be in general
     position (no three collinear points) or GeneralPositionError is raised.
 
-    The predicates are exact, so ``tol`` does not enter the verdict. The
-    returned report is partial: uniqueness and global maximality stay None
-    (see full_crossing_report).
+    The returned report is partial: uniqueness and global maximality stay
+    None (see full_crossing_report).
     """
     if not m.is_perfect_on(ps):
         raise ValueError("matching must be perfect on the point set")
@@ -106,13 +105,13 @@ def _crossing_report(left: list[list[int]], m: Matching) -> CrossingReport:
     )
 
 
-def halfplane_balance(ps: PointSet, m: Matching, tol: Tolerance = DEFAULT_TOL) -> bool:
+def halfplane_balance(ps: PointSet, m: Matching) -> bool:
     """For every edge, both open half-planes of its supporting line must
     contain exactly (|P| - 2) / 2 of the remaining points.
 
     Requires a pairwise crossing matching (checked).
     """
-    report = is_pairwise_crossing(ps, m, tol)
+    report = is_pairwise_crossing(ps, m)
     if not report.is_pairwise_crossing:
         raise ValueError(
             f"matching is not pairwise crossing (pair {report.non_crossing_pair})"
@@ -120,9 +119,7 @@ def halfplane_balance(ps: PointSet, m: Matching, tol: Tolerance = DEFAULT_TOL) -
     return report.balance_ok
 
 
-def find_pairwise_crossing(
-    ps: PointSet, tol: Tolerance = DEFAULT_TOL
-) -> tuple[Optional[Matching], int]:
+def find_pairwise_crossing(ps: PointSet) -> tuple[Optional[Matching], int]:
     """Find every pairwise crossing perfect matching by exact backtracking.
 
     Returns the first one in the order of ``enumerate_matchings`` (None if
@@ -134,7 +131,7 @@ def find_pairwise_crossing(
     every edge already chosen; the count is exact at any n, and halving
     edges are few (O(n^(4/3)), Dey 1998), which bounds the branching. Raises
     ValueError for an odd number of points and GeneralPositionError for
-    collinear ones; ``tol`` does not enter the exact predicates.
+    collinear ones.
     """
     n = len(ps)
     if n % 2:
@@ -168,25 +165,20 @@ def _search(left: list[list[int]]) -> tuple[Optional[Matching], int]:
     return found, count
 
 
-def verify_globally_maximum(
-    ps: PointSet,
-    m: Matching,
-    tol: Tolerance = DEFAULT_TOL,
-    cap: int = DEFAULT_ORACLE_CAP,
-) -> bool:
+def verify_globally_maximum(ps: PointSet, m: Matching, cap: int = DEFAULT_ORACLE_CAP) -> bool:
     """True iff the (pairwise crossing) matching matches the oracle maximum."""
-    report = is_pairwise_crossing(ps, m, tol)
+    report = is_pairwise_crossing(ps, m)
     if not report.is_pairwise_crossing:
         raise ValueError(
             f"matching is not pairwise crossing (pair {report.non_crossing_pair})"
         )
-    return _is_maximum(ps, m, tol, cap)
+    return _is_maximum(ps, m, cap)
 
 
-def _is_maximum(ps: PointSet, m: Matching, tol: Tolerance, cap: int) -> bool:
+def _is_maximum(ps: PointSet, m: Matching, cap: int) -> bool:
     opt = optimal_matching(ps, "maximize", cap)
     w_max = weight(opt, ps)
-    return weight(m, ps) >= w_max - tol.eps_geom * w_max
+    return weight(m, ps) >= w_max - DEFAULT_TOL.eps_geom * w_max
 
 
 def convex_diagonal_matching(ps: PointSet) -> Matching:
@@ -203,10 +195,7 @@ def convex_diagonal_matching(ps: PointSet) -> Matching:
 
 
 def full_crossing_report(
-    ps: PointSet,
-    m: Matching,
-    tol: Tolerance = DEFAULT_TOL,
-    cap: int = DEFAULT_ORACLE_CAP,
+    ps: PointSet, m: Matching, cap: int = DEFAULT_ORACLE_CAP
 ) -> CrossingReport:
     """Crossing/balance check, uniqueness at any size (from the exact
     search's count), and global maximality where the oracle cap allows.
@@ -220,7 +209,7 @@ def full_crossing_report(
     _, count = _search(left)
     globally_maximum: Optional[bool] = None
     if len(ps) <= 2 * cap:
-        globally_maximum = _is_maximum(ps, m, tol, cap)
+        globally_maximum = _is_maximum(ps, m, cap)
     return CrossingReport(
         is_pairwise_crossing=True,
         non_crossing_pair=None,

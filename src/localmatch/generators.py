@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .certificates import DiskFamily
-from .geometry import DEFAULT_TOL, Disk, Point, Tolerance, orientation
+from .geometry import Disk, Point, orientation
 from .matching import (
     DEFAULT_ORACLE_CAP,
     Matching,
@@ -47,33 +48,28 @@ def _in_general_position(points: list[Point]) -> bool:
     return True
 
 
-def _distinct(points: list[Point], eps: float) -> bool:
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if math.hypot(points[i].x - points[j].x, points[i].y - points[j].y) <= eps:
-                return False
-    return True
-
-
-def _random_points(rng: np.random.Generator, n: int, bbox: float, tol: Tolerance) -> PointSet:
+def _random_points(rng: np.random.Generator, n: int) -> PointSet:
     while True:
-        raw = rng.uniform(0.0, bbox, size=(n, 2))
+        raw = rng.uniform(0.0, 1.0, size=(n, 2))
         points = [Point(float(x), float(y)) for x, y in raw]
-        if _distinct(points, tol.eps_geom) and _in_general_position(points):
-            return PointSet(points, tol)
+        try:
+            ps = PointSet(points)
+        except ValueError:
+            continue
+        if _in_general_position(points):
+            return ps
 
 
-def gen_random(n: int, seed: int, bbox: float = 1.0, tol: Tolerance = DEFAULT_TOL) -> PointSet:
-    """n i.i.d. uniform points in [0, bbox]^2, resampled until pairwise
+def gen_random(n: int, seed: int) -> PointSet:
+    """n i.i.d. uniform points in [0, 1]^2, resampled until pairwise
     distinct and free of collinear triples; deterministic per seed."""
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and at least 2, got {n}")
     rng = np.random.default_rng(seed)
-    return _random_points(rng, n, bbox, tol)
+    return _random_points(rng, n)
 
 
-def gen_convex(n: int, seed: int, tol: Tolerance = DEFAULT_TOL) -> PointSet:
+def gen_convex(n: int, seed: int) -> PointSet:
     """n points in convex position on a radially perturbed circle, sorted
     by angle; strict convexity is verified before returning."""
     if n < 4 or n % 2:
@@ -90,14 +86,14 @@ def gen_convex(n: int, seed: int, tol: Tolerance = DEFAULT_TOL) -> PointSet:
             Point(float(r * math.cos(a)), float(r * math.sin(a)))
             for a, r in zip(angles, radii)
         ]
-        if not _distinct(points, tol.eps_geom):
+        try:
+            ps = PointSet(points)
+        except ValueError:
             continue
-        convex = all(
-            orientation(points[i], points[(i + 1) % n], points[(i + 2) % n]) > 0
-            for i in range(n)
-        )
-        if convex:
-            return PointSet(points, tol)
+        if all(
+            orientation(points[i], points[(i + 1) % n], points[(i + 2) % n]) > 0 for i in range(n)
+        ):
+            return ps
 
 
 def gen_circle_alternating(n: int, eps: float) -> tuple[PointSet, Matching]:
@@ -199,7 +195,6 @@ class MinerConfig:
     restarts: int = 8
     step_scale: float = 0.08
     seed: int = 0
-    bbox: float = 1.0
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -228,17 +223,13 @@ class MinedInstance:
     iterations_used: int
 
 
-def _search_ratio(
-    ps: PointSet, k: int, init, tol: Tolerance
-) -> tuple[Matching, float]:
-    m = k_local_search(ps, k, init, tol)
+def _search_ratio(ps: PointSet, k: int, init: Optional[Matching]) -> tuple[Matching, float]:
+    m = k_local_search(ps, k, init)
     w_opt = weight(optimal_matching(ps, "maximize"), ps)
     return m, weight(m, ps) / w_opt
 
 
-def mine_low_ratio(
-    cfg: MinerConfig, tol: Tolerance = DEFAULT_TOL, progress=None
-) -> MinedInstance:
+def mine_low_ratio(cfg: MinerConfig, progress=None) -> MinedInstance:
     """Hill-climb point coordinates toward low locality ratios.
 
     Each restart owns the stream np.random.default_rng([seed, restart]).
@@ -253,13 +244,13 @@ def mine_low_ratio(
     total_iterations = 0
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
-        ps = _random_points(rng, cfg.num_points, cfg.bbox, tol)
-        m, ratio = _search_ratio(ps, cfg.k, "greedy", tol)
+        ps = _random_points(rng, cfg.num_points)
+        m, ratio = _search_ratio(ps, cfg.k, None)
         accepted = 0
         for _ in range(cfg.budget_iterations):
             total_iterations += 1
             coord = int(rng.integers(0, 2 * cfg.num_points))
-            noise = float(rng.normal(0.0, cfg.step_scale * cfg.bbox * 0.99 ** (accepted // 100)))
+            noise = float(rng.normal(0.0, cfg.step_scale * 0.99 ** (accepted // 100)))
             pts = list(ps.points)
             p = pts[coord // 2]
             moved = (
@@ -267,10 +258,10 @@ def mine_low_ratio(
             )
             pts[coord // 2] = moved
             try:
-                cand = PointSet(pts, tol)
+                cand = PointSet(pts)
             except ValueError:
                 continue
-            cand_m, cand_ratio = _search_ratio(cand, cfg.k, m, tol)
+            cand_m, cand_ratio = _search_ratio(cand, cfg.k, m)
             if cand_ratio < ratio:
                 ps, m, ratio = cand, cand_m, cand_ratio
                 accepted += 1

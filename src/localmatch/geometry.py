@@ -84,12 +84,6 @@ class Tolerance:
     eps_geom: float = 1e-9
     eps_opt: float = 1e-7
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.eps_geom < 1e-3):
-            raise ValueError(f"eps_geom must lie in (0, 1e-3), got {self.eps_geom}")
-        if not (0.0 < self.eps_opt < 1e-3):
-            raise ValueError(f"eps_opt must lie in (0, 1e-3), got {self.eps_opt}")
-
 
 DEFAULT_TOL = Tolerance()
 
@@ -133,7 +127,7 @@ def orientation(a: Point, b: Point, c: Point) -> int:
     return _orientation_exact(a.x, a.y, b.x, b.y, c.x, c.y)
 
 
-def segments_cross(s1: Segment, s2: Segment, tol: Tolerance = DEFAULT_TOL) -> bool:
+def segments_cross(s1: Segment, s2: Segment) -> bool:
     """True iff the open segments properly cross (share one interior point).
 
     Shared endpoints, endpoint-on-interior contact, and collinear overlap
@@ -153,9 +147,9 @@ def diametral_disk(s: Segment) -> Disk:
     return Disk(s.midpoint(), s.length() / 2.0)
 
 
-def disks_intersect(d1: Disk, d2: Disk, tol: Tolerance = DEFAULT_TOL) -> bool:
+def disks_intersect(d1: Disk, d2: Disk) -> bool:
     """Closed-disk intersection test; tangency counts."""
-    return distance(d1.center, d2.center) <= d1.radius + d2.radius + tol.eps_geom
+    return distance(d1.center, d2.center) <= d1.radius + d2.radius + DEFAULT_TOL.eps_geom
 
 
 def endpoint_bound(x, r):

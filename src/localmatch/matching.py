@@ -16,11 +16,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Literal, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, Point, Tolerance
+from .geometry import DEFAULT_TOL, Point
 
 __all__ = [
     "PointSet",
@@ -61,14 +61,18 @@ class CapExceededError(ValueError):
 
 @dataclass(frozen=True)
 class PointSet:
+    """Points no two of which lie within eps_geom times the set's diameter."""
+
     points: tuple[Point, ...]
 
-    def __init__(self, points: Sequence[Point], tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, points: Sequence[Point]):
         pts = tuple(points)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if math.hypot(pts[i].x - pts[j].x, pts[i].y - pts[j].y) <= tol.eps_geom:
-                    raise ValueError(f"points {i} and {j} coincide: {pts[i]} ~ {pts[j]}")
+        gaps = [math.hypot(a.x - b.x, a.y - b.y) for a, b in itertools.combinations(pts, 2)]
+        limit = DEFAULT_TOL.eps_geom * max(gaps, default=0.0)
+        if gaps and min(gaps) <= limit:
+            pairs = itertools.combinations(range(len(pts)), 2)
+            i, j = next(pair for pair, gap in zip(pairs, gaps) if gap <= limit)
+            raise ValueError(f"points {i} and {j} coincide: {pts[i]} ~ {pts[j]}")
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
@@ -412,7 +416,7 @@ def _subset_weight(dist, pairs: Sequence[Pair]) -> float:
 
 
 def _scan_k_subsets(
-    ps: PointSet, m: Matching, k: int, tol: Tolerance, objective: Objective
+    ps: PointSet, m: Matching, k: int, objective: Objective
 ) -> Optional[tuple[tuple[Pair, ...], tuple[Pair, ...]]]:
     """First k-subset of edges that is not an optimal matching on its own
     endpoints, together with the optimal re-matching; None if k-local.
@@ -422,7 +426,7 @@ def _scan_k_subsets(
     ``_batch_optimal``, with the same first violation and rematch as the
     one-by-one loop.
     """
-    threshold = tol.eps_geom * weight(m, ps)
+    threshold = DEFAULT_TOL.eps_geom * weight(m, ps)
     sign = 1.0 if objective == "maximize" else -1.0
     if _batched(math.comb(len(m), k), 2 * k):
         return _scan_batched(ps, m, k, threshold, sign, objective)
@@ -467,13 +471,11 @@ def _scan_batched(
     return None
 
 
-def _is_k_local(
-    ps: PointSet, m: Matching, k: int, tol: Tolerance, objective: Objective
-) -> RatioReport:
+def _is_k_local(ps: PointSet, m: Matching, k: int, objective: Objective) -> RatioReport:
     _check_perfect(m, ps)
     if not (1 <= k <= len(m)):
         raise ValueError(f"k must lie in [1, {len(m)}], got {k}")
-    violation = _scan_k_subsets(ps, m, k, tol, objective)
+    violation = _scan_k_subsets(ps, m, k, objective)
     return RatioReport(
         weight_local=weight(m, ps),
         weight_global=None,
@@ -483,20 +485,20 @@ def _is_k_local(
     )
 
 
-def is_k_local_max(ps: PointSet, m: Matching, k: int, tol: Tolerance = DEFAULT_TOL) -> RatioReport:
+def is_k_local_max(ps: PointSet, m: Matching, k: int) -> RatioReport:
     """Check that every k-subset of edges is a maximum matching on its own
     2k endpoints; reports the first violating subset otherwise.
 
     Improvements are only counted when they exceed eps_geom * w(m), so
     float noise cannot flag a violation.
     """
-    return _is_k_local(ps, m, k, tol, "maximize")
+    return _is_k_local(ps, m, k, "maximize")
 
 
-def is_k_local_min(ps: PointSet, m: Matching, k: int, tol: Tolerance = DEFAULT_TOL) -> RatioReport:
+def is_k_local_min(ps: PointSet, m: Matching, k: int) -> RatioReport:
     """Minimum-side twin of is_k_local_max (every k-subset must be a
     minimum matching on its endpoints)."""
-    return _is_k_local(ps, m, k, tol, "minimize")
+    return _is_k_local(ps, m, k, "minimize")
 
 
 def greedy_matching(ps: PointSet, objective: Objective = "maximize") -> Matching:
@@ -522,17 +524,13 @@ def greedy_matching(ps: PointSet, objective: Objective = "maximize") -> Matching
 
 
 def k_local_search(
-    ps: PointSet,
-    k: int,
-    init: Union[Matching, str] = "greedy",
-    tol: Tolerance = DEFAULT_TOL,
-    objective: Objective = "maximize",
+    ps: PointSet, k: int, init: Optional[Matching] = None, objective: Objective = "maximize"
 ) -> Matching:
     """First-improvement k-subset local search.
 
-    Starting from `init` (or the greedy matching), repeatedly replaces the
-    first k-subset of edges that is not optimal on its own endpoints by the
-    optimal re-matching, until no such subset exists.  Terminates because
+    Starting from `init` (by default the greedy matching), repeatedly
+    replaces the first k-subset of edges that is not optimal on its own
+    endpoints by the optimal re-matching, until no such subset exists.  Terminates because
     each swap changes the weight by more than eps_geom * w(m) in the
     improving direction and the matching space is finite.
     """
@@ -541,18 +539,16 @@ def k_local_search(
         raise ValueError(f"point set has odd cardinality {n}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if isinstance(init, str):
-        if init != "greedy":
-            raise ValueError(f"unknown initializer {init!r}")
+    if init is None:
         m = greedy_matching(ps, objective)
     else:
         _check_perfect(init, ps)
         m = init
-    k_eff = min(k, len(m)) if len(m) else k
     if len(m) == 0:
         return m
+    k_eff = min(k, len(m))
     while True:
-        violation = _scan_k_subsets(ps, m, k_eff, tol, objective)
+        violation = _scan_k_subsets(ps, m, k_eff, objective)
         if violation is None:
             return m
         subset, replacement = violation
@@ -617,7 +613,6 @@ def ratio_report(
     ps: PointSet,
     m: Matching,
     k: int,
-    tol: Tolerance = DEFAULT_TOL,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> RatioReport:
     """Weight of m versus the exact maximum, plus the k-locality verdict."""
@@ -625,7 +620,7 @@ def ratio_report(
     opt = optimal_matching(ps, "maximize", cap)
     w_local = weight(m, ps)
     w_global = weight(opt, ps)
-    locality = _is_k_local(ps, m, k, tol, "maximize")
+    locality = _is_k_local(ps, m, k, "maximize")
     return RatioReport(
         weight_local=w_local,
         weight_global=w_global,

@@ -366,13 +366,13 @@ class TestScaleRelativeVerdicts:
         w = common_point(tiny)
         assert w.slack == pytest.approx(1e-9, rel=1e-6)
         assert w.slack <= TOL.eps_opt  # an absolute test would accept it
-        assert not w.holds(TOL)
+        assert not w.holds()
 
     def test_unit_scale_verdicts(self):
         tangent = gen_tangent_disks()
-        assert common_point(tangent.rescaled(ENLARGEMENT_FACTOR)).holds(TOL)
-        assert not common_point(tangent.rescaled(ENLARGEMENT_FACTOR - 1e-3)).holds(TOL)
-        assert not common_point(tangent).holds(TOL)
+        assert common_point(tangent.rescaled(ENLARGEMENT_FACTOR)).holds()
+        assert not common_point(tangent.rescaled(ENLARGEMENT_FACTOR - 1e-3)).holds()
+        assert not common_point(tangent).holds()
 
     @pytest.mark.parametrize("factor", [1e-6, 1e6])
     def test_certify_is_scale_invariant(self, factor):

@@ -11,7 +11,6 @@ from localmatch.geometry import (
     Disk,
     Point,
     Segment,
-    Tolerance,
     diameter_bound,
     diametral_disk,
     disks_intersect,
@@ -42,12 +41,6 @@ class TestPointAndTolerance:
     def test_disk_rejects_negative_radius(self):
         with pytest.raises(ValueError):
             Disk(Point(0, 0), -0.1)
-
-    def test_tolerance_bounds(self):
-        with pytest.raises(ValueError):
-            Tolerance(eps_geom=0.0)
-        with pytest.raises(ValueError):
-            Tolerance(eps_opt=1e-2)
 
 
 class TestDistance:

@@ -9,7 +9,7 @@ import pytest
 
 from localmatch import matching
 from localmatch.generators import gen_circle_alternating, gen_random
-from localmatch.geometry import DEFAULT_TOL, Point
+from localmatch.geometry import Point
 from localmatch.matching import (
     CapExceededError,
     Matching,
@@ -47,6 +47,14 @@ class TestPointSet:
     def test_rejects_coincident_points(self):
         with pytest.raises(ValueError):
             PointSet([Point(0, 0), Point(0, 0), Point(1, 0), Point(2, 3)])
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_coincidence_is_relative_to_diameter(self, scale):
+        # Two points 5e-4 apart in a unit square: distinct at every scale.
+        xy = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5), (0.5005, 0.5)]
+        PointSet([Point(x * scale, y * scale) for x, y in xy])
+        with pytest.raises(ValueError, match="points 4 and 5 coincide"):
+            PointSet([Point(x * scale, y * scale) for x, y in xy[:5] + [xy[4]]])
 
     def test_distance_matrix(self):
         ps = unit_square()
@@ -276,7 +284,7 @@ class TestBatchedOracle:
 
 def scan(ps, m, k, objective, min_work, monkeypatch):
     monkeypatch.setattr(matching, "_BATCH_MIN_WORK", min_work)
-    return matching._scan_k_subsets(ps, m, k, DEFAULT_TOL, objective)
+    return matching._scan_k_subsets(ps, m, k, objective)
 
 
 class TestBatchedScan:
