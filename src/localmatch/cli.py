@@ -17,7 +17,6 @@ from . import suite as suite_mod
 from .certificates import (
     ENLARGEMENT_FACTOR,
     CertificateError,
-    LocalityError,
     certify,
     diametral_family,
 )
@@ -121,7 +120,6 @@ def cmd_certify(args) -> int:
                 disks=base.scaled_disks(),
                 enlarged_disks=enlarged,
                 witness=cert.witness.point,
-                star=True,
             )
         )
     return EXIT_OK
@@ -266,9 +264,6 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except LocalityError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
     except CertificateError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION

@@ -105,18 +105,22 @@ def _crossing_report(left: list[list[int]], m: Matching) -> CrossingReport:
     )
 
 
+def _require_crossing(ps: PointSet, m: Matching) -> CrossingReport:
+    report = is_pairwise_crossing(ps, m)
+    if not report.is_pairwise_crossing:
+        raise ValueError(
+            f"matching is not pairwise crossing (pair {report.non_crossing_pair})"
+        )
+    return report
+
+
 def halfplane_balance(ps: PointSet, m: Matching) -> bool:
     """For every edge, both open half-planes of its supporting line must
     contain exactly (|P| - 2) / 2 of the remaining points.
 
     Requires a pairwise crossing matching (checked).
     """
-    report = is_pairwise_crossing(ps, m)
-    if not report.is_pairwise_crossing:
-        raise ValueError(
-            f"matching is not pairwise crossing (pair {report.non_crossing_pair})"
-        )
-    return report.balance_ok
+    return _require_crossing(ps, m).balance_ok
 
 
 def find_pairwise_crossing(ps: PointSet) -> tuple[Optional[Matching], int]:
@@ -165,14 +169,10 @@ def _search(left: list[list[int]]) -> tuple[Optional[Matching], int]:
     return found, count
 
 
-def verify_globally_maximum(ps: PointSet, m: Matching, cap: int = DEFAULT_ORACLE_CAP) -> bool:
+def verify_globally_maximum(ps: PointSet, m: Matching) -> bool:
     """True iff the (pairwise crossing) matching matches the oracle maximum."""
-    report = is_pairwise_crossing(ps, m)
-    if not report.is_pairwise_crossing:
-        raise ValueError(
-            f"matching is not pairwise crossing (pair {report.non_crossing_pair})"
-        )
-    return _is_maximum(ps, m, cap)
+    _require_crossing(ps, m)
+    return _is_maximum(ps, m, DEFAULT_ORACLE_CAP)
 
 
 def _is_maximum(ps: PointSet, m: Matching, cap: int) -> bool:

@@ -155,13 +155,13 @@ def gen_tangent_disks() -> DiskFamily:
     )
 
 
-def gen_intersecting_disks(count: int, seed: int, tangent_pair: bool | None = None) -> DiskFamily:
+def gen_intersecting_disks(count: int, seed: int) -> DiskFamily:
     """Random pairwise-intersecting disk family of the given size.
 
     Radii are drawn at random and then rescaled so the worst pair is
-    exactly tangent; unless tangent_pair is True a further random margin
-    is applied, yielding families between barely and comfortably
-    pairwise intersecting.
+    exactly tangent; three families in four then get a further random
+    margin, yielding families between barely and comfortably pairwise
+    intersecting.
     """
     if count < 2:
         raise ValueError(f"need at least 2 disks, got {count}")
@@ -177,9 +177,7 @@ def gen_intersecting_disks(count: int, seed: int, tangent_pair: bool | None = No
     base = rng.uniform(0.1, 0.6, size=count)
     need = span / np.add.outer(base, base)
     factor = float(need[np.triu_indices(count, k=1)].max())
-    if tangent_pair is None:
-        tangent_pair = bool(rng.uniform() < 0.25)
-    margin = 1.0 if tangent_pair else float(rng.uniform(1.0, 1.3))
+    margin = 1.0 if rng.uniform() < 0.25 else float(rng.uniform(1.0, 1.3))
     radii = base * factor * margin
     disks = tuple(
         Disk(Point(float(x), float(y)), float(r)) for (x, y), r in zip(centers, radii)

@@ -148,8 +148,10 @@ def diametral_disk(s: Segment) -> Disk:
 
 
 def disks_intersect(d1: Disk, d2: Disk) -> bool:
-    """Closed-disk intersection test; tangency counts."""
-    return distance(d1.center, d2.center) <= d1.radius + d2.radius + DEFAULT_TOL.eps_geom
+    """Closed-disk intersection test; tangency counts, within eps_geom
+    times the radius sum, so the verdict does not change with scale."""
+    reach = d1.radius + d2.radius
+    return distance(d1.center, d2.center) <= reach + DEFAULT_TOL.eps_geom * reach
 
 
 def endpoint_bound(x, r):

@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 from .certificates import Certificate
 from .crossing import CrossingReport
-from .generators import MinedInstance
+from .generators import MinedInstance, MinerConfig
 from .geometry import Point
 from .matching import Matching, PointSet, RatioReport
 
@@ -193,7 +193,7 @@ def crossing_report_to_dict(report: CrossingReport) -> dict:
     }
 
 
-def mined_instance_to_dict(mined: MinedInstance, cfg=None) -> dict:
+def mined_instance_to_dict(mined: MinedInstance, cfg: MinerConfig) -> dict:
     inst = instance_from_objects(mined.point_set, mined.local_matching)
     out = inst.to_dict()
     provenance = {
@@ -201,15 +201,10 @@ def mined_instance_to_dict(mined: MinedInstance, cfg=None) -> dict:
         "k": mined.k,
         "ratio": mined.ratio,
         "iterations_used": mined.iterations_used,
+        "num_points": cfg.num_points,
+        "budget_iterations": cfg.budget_iterations,
+        "restarts": cfg.restarts,
+        "step_scale": cfg.step_scale,
     }
-    if cfg is not None:
-        provenance.update(
-            {
-                "num_points": cfg.num_points,
-                "budget_iterations": cfg.budget_iterations,
-                "restarts": cfg.restarts,
-                "step_scale": cfg.step_scale,
-            }
-        )
     out["metadata"] = {"provenance": provenance}
     return out

@@ -235,7 +235,9 @@ class _Level(NamedTuple):
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = a.astype(np.uint16)
+    """``a`` as a read-only uint16 array, or uint32 where a value exceeds
+    uint16 (level indices from 28 positions on)."""
+    a = a.astype(np.uint16 if a.max() <= np.iinfo(np.uint16).max else np.uint32)
     a.flags.writeable = False
     return a
 
@@ -246,9 +248,10 @@ def _plan(k: int) -> tuple[_Level, ...]:
 
     A state is a mask of free positions; each level's states are sorted by
     mask.  At k = 20 there are 10,945 states and 89,665 transitions, at 26
-    196,417 and 2,136,001; the largest level (50,388 states at 26) and
-    k * k both fit uint16.  Called only for even k <= _PLAN_MAX, so the
-    cache holds at most 13 plans.
+    196,417 and 2,136,001, at 28 514,228 and 6,052,062.  The cache holds
+    one plan per even size in use: up to 26 positions under the default
+    oracle cap, more only when a caller raises the cap or scans more than
+    13 edges at once.
     """
     masks = np.array([(1 << k) - 1], dtype=np.int32)
     cols = np.arange(k, dtype=np.int32)[None, :]  # free positions of each state
@@ -313,10 +316,6 @@ def _batch_pairs(rows: np.ndarray, choices: list[np.ndarray], r: int) -> tuple[P
     return tuple(pairs)
 
 
-# Plans are cached for even sizes up to the default oracle cap; larger
-# index sets (a raised cap, or scans of more than 13 edges at once) use the
-# scalar memo.
-_PLAN_MAX = 2 * DEFAULT_ORACLE_CAP
 # Calls solving fewer than this many transitions in all (index sets x
 # transitions per set) run the scalar memo: below it numpy's fixed cost per
 # level outweighs the memo's ~0.4 us per transition.  One oracle call
@@ -331,22 +330,13 @@ _BATCH_MIN_WORK = 300
 
 @functools.cache
 def _transitions(k: int) -> int:
-    """Transitions in the k-position recurrence, counted without a plan.
-
-    After t steps the free positions are the (k - 2t)-subsets whose minimum
-    c lies in [t, 2t]: all c positions below it are matched, among them the
-    t lowest-free ones, and the 2t - c others lie above it.
-    """
-    return sum(
-        math.comb(k - c - 1, 2 * t - c) * (k - 2 * t - 1)
-        for t in range(k // 2)
-        for c in range(t, 2 * t + 1)
-    )
+    """Transitions in the k-position recurrence: the size of its plan."""
+    return sum(level.lin.size for level in _plan(k))
 
 
 def _batched(sets: int, k: int) -> bool:
     """Whether `sets` index sets of size k go to _batch_optimal."""
-    return k <= _PLAN_MAX and sets * _transitions(k) >= _BATCH_MIN_WORK
+    return sets * _transitions(k) >= _BATCH_MIN_WORK
 
 
 def optimal_matching(
@@ -501,16 +491,15 @@ def is_k_local_min(ps: PointSet, m: Matching, k: int) -> RatioReport:
     return _is_k_local(ps, m, k, "minimize")
 
 
-def greedy_matching(ps: PointSet, objective: Objective = "maximize") -> Matching:
-    """Repeatedly take the longest (shortest, for minimize) available edge."""
+def greedy_matching(ps: PointSet) -> Matching:
+    """Repeatedly take the longest available edge."""
     n = len(ps)
     if n % 2:
         raise ValueError(f"point set has odd cardinality {n}")
     dist = ps.dist
-    reverse = objective == "maximize"
     edges = sorted(
         ((i, j) for i in range(n) for j in range(i + 1, n)),
-        key=lambda e: (-dist[e[0]][e[1]], e) if reverse else (dist[e[0]][e[1]], e),
+        key=lambda e: (-dist[e[0]][e[1]], e),
     )
     used: set[int] = set()
     pairs: list[Pair] = []
@@ -523,16 +512,14 @@ def greedy_matching(ps: PointSet, objective: Objective = "maximize") -> Matching
     return Matching(pairs)
 
 
-def k_local_search(
-    ps: PointSet, k: int, init: Optional[Matching] = None, objective: Objective = "maximize"
-) -> Matching:
-    """First-improvement k-subset local search.
+def k_local_search(ps: PointSet, k: int, init: Optional[Matching] = None) -> Matching:
+    """First-improvement k-subset local search for a k-local maximum.
 
     Starting from `init` (by default the greedy matching), repeatedly
-    replaces the first k-subset of edges that is not optimal on its own
-    endpoints by the optimal re-matching, until no such subset exists.  Terminates because
-    each swap changes the weight by more than eps_geom * w(m) in the
-    improving direction and the matching space is finite.
+    replaces the first k-subset of edges that is not a maximum matching on
+    its own endpoints by the maximum re-matching, until no such subset
+    exists.  Terminates because each swap raises the weight by more than
+    eps_geom * w(m) and the matching space is finite.
     """
     n = len(ps)
     if n % 2:
@@ -540,7 +527,7 @@ def k_local_search(
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if init is None:
-        m = greedy_matching(ps, objective)
+        m = greedy_matching(ps)
     else:
         _check_perfect(init, ps)
         m = init
@@ -548,7 +535,7 @@ def k_local_search(
         return m
     k_eff = min(k, len(m))
     while True:
-        violation = _scan_k_subsets(ps, m, k_eff, objective)
+        violation = _scan_k_subsets(ps, m, k_eff, "maximize")
         if violation is None:
             return m
         subset, replacement = violation

@@ -20,10 +20,11 @@ _DISK_FILL = "#9ecae1"
 _DISK_STROKE = "#6baed6"
 _ENLARGED_FILL = "#c7e9c0"
 _ENLARGED_STROKE = "#74c476"
+_SIZE = 640  # width and height in pixels
 
 
 class _Canvas:
-    def __init__(self, xs: Sequence[float], ys: Sequence[float], size: int):
+    def __init__(self, xs: Sequence[float], ys: Sequence[float]):
         pad = 0.08
         xmin, xmax = min(xs), max(xs)
         ymin, ymax = min(ys), max(ys)
@@ -31,8 +32,7 @@ class _Canvas:
         margin = pad * span
         self.xmin = xmin - margin
         self.ymax = ymax + margin
-        self.scale = size / (span + 2.0 * margin)
-        self.size = size
+        self.scale = _SIZE / (span + 2.0 * margin)
 
     def x(self, x: float) -> float:
         return (x - self.xmin) * self.scale
@@ -55,10 +55,9 @@ def render_figure(
     disks: Sequence[Disk] = (),
     enlarged_disks: Sequence[Disk] = (),
     witness: Optional[Point] = None,
-    star: bool = False,
-    size: int = 640,
 ) -> str:
-    """Compose an SVG 1.1 document for the given instance."""
+    """Compose an SVG 1.1 document for the given instance; with a witness,
+    dashed star edges join it to every point."""
     xs = [p.x for p in ps.points]
     ys = [p.y for p in ps.points]
     for d in list(disks) + list(enlarged_disks):
@@ -69,11 +68,11 @@ def render_figure(
         ys.append(witness.y)
     if not xs:
         xs = ys = [0.0, 1.0]
-    canvas = _Canvas(xs, ys, size)
+    canvas = _Canvas(xs, ys)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'width="{_SIZE}" height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
     for d, fill, stroke in [(d, _ENLARGED_FILL, _ENLARGED_STROKE) for d in enlarged_disks] + [
         (d, _DISK_FILL, _DISK_STROKE) for d in disks
@@ -83,7 +82,7 @@ def render_figure(
             f'r="{_fmt(canvas.r(d.radius))}" fill="{fill}" fill-opacity="0.25" '
             f'stroke="{stroke}" stroke-width="1"/>'
         )
-    if star and witness is not None:
+    if witness is not None:
         for p in ps.points:
             parts.append(_line(canvas, witness, p, _STAR_COLOR, 1.0, dash=True))
     if alt_matching is not None:

@@ -636,8 +636,6 @@ class TestCheckFingerhutWitness:
         moved = Point(w.point.x + 1e-3, w.point.y)
         # At the moved point with its own slack, only the gradients tell.
         moved_slack = max(certificates._ellipse_pieces(m, ps).values(moved.x, moved.y))
-        # At the moved point with its own slack, only the gradients tell.
-        moved_slack = max(certificates._ellipse_pieces(m, ps).values(moved.x, moved.y))
         size = len(w.support)
         negative = (1.1, *[-0.1 / (size - 1)] * (size - 1))
         tampered = {

@@ -138,13 +138,17 @@ class TestGenIntersectingDisks:
                 assert disks_intersect(d1, d2)
 
     def test_tangent_pair_flag(self):
-        df = gen_intersecting_disks(4, seed=3, tangent_pair=True)
-        disks = df.scaled_disks()
-        gaps = [
-            d1.radius + d2.radius - distance(d1.center, d2.center)
-            for d1, d2 in itertools.combinations(disks, 2)
-        ]
-        assert min(gaps) == pytest.approx(0.0, abs=1e-9)
+        # About one family in four keeps its worst pair exactly tangent;
+        # the others get a margin.
+        tangent = set()
+        for seed in range(20):
+            disks = gen_intersecting_disks(4, seed=seed).scaled_disks()
+            gap = min(
+                d1.radius + d2.radius - distance(d1.center, d2.center)
+                for d1, d2 in itertools.combinations(disks, 2)
+            )
+            tangent.add(gap == pytest.approx(0.0, abs=1e-9))
+        assert tangent == {True, False}
 
 
 class TestMiner:

@@ -141,6 +141,15 @@ class TestDisksIntersect:
     def test_containment(self):
         assert disks_intersect(Disk(Point(0, 0), 1), Disk(Point(1, 0), 3))
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_verdict_is_scale_invariant(self, scale):
+        # Unit disks 2.0005 apart are disjoint at every scale; 2 + 5e-11
+        # apart they are tangent within eps_geom at every scale.
+        for gap, meet in ((2.0005, False), (2.0 + 5e-11, True), (2.0, True)):
+            d1 = Disk(Point(0, 0), scale)
+            d2 = Disk(Point(gap * scale, 0), scale)
+            assert disks_intersect(d1, d2) is meet, gap
+
 
 class TestEndpointBound:
     def test_examples(self):

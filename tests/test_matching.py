@@ -258,9 +258,23 @@ class TestBatchedOracle:
     def test_plan_sizes(self):
         plan = matching._plan(20)
         assert sum(level.lin.size // level.width for level in plan) == 10_945
-        assert sum(level.lin.size for level in plan) == 89_665
-        for k in range(2, 27, 2):
-            assert sum(level.lin.size for level in matching._plan(k)) == matching._transitions(k)
+        assert matching._transitions(20) == 89_665
+        assert all(level.tails.dtype == np.uint16 for level in plan)
+        # From 28 positions a level's state index exceeds uint16.
+        plan = matching._plan(28)
+        assert sum(level.lin.size // level.width for level in plan) == 514_228
+        assert matching._transitions(28) == 6_052_062
+        assert max(level.lin.size // level.width for level in plan) == 125_970
+        assert {level.tails.dtype for level in plan} == {np.dtype(np.uint16), np.dtype(np.uint32)}
+
+    def test_raised_cap_runs_batched(self):
+        # 28 points: above the default cap, solved by the batch with the
+        # memo's weight and pairs.
+        ps = gen_random(28, seed=5)
+        want_w, want_pairs = matching._dp_optimal(ps.dist, range(28), "maximize")
+        assert optimal_matching(ps, cap=14).pairs == want_pairs
+        weights, _ = matching._batch_optimal(ps._dist_array, np.arange(28)[None, :], "maximize")
+        assert float(weights[0]).hex() == want_w.hex()
 
     def test_plan_arrays_read_only(self):
         for level in matching._plan(8):
@@ -291,14 +305,19 @@ class TestBatchedScan:
     @pytest.mark.parametrize("objective", ["maximize", "minimize"])
     def test_equal_to_loop(self, objective, monkeypatch):
         # Sizes on both sides of the selection constant: 3 x 6 = 18
-        # transitions (n = 6, k = 2) up to 210 x 97 (n = 20, k = 4).
+        # transitions (n = 6, k = 2) up to 210 x 97 (n = 20, k = 4).  Each
+        # side scans greedy (violations) and a matching with a clean scan.
         below = above = 0
         min_work = matching._BATCH_MIN_WORK
         for i in range(48):
             n = 6 + 2 * (i % 8)
             k = min(2 + i % 3, n // 2)
             ps = gen_random(n, seed=6000 + i)
-            for m in (greedy_matching(ps, objective), k_local_search(ps, k, objective=objective)):
+            if objective == "maximize":
+                clean = k_local_search(ps, k)
+            else:
+                clean = optimal_matching(ps, objective)
+            for m in (greedy_matching(ps), clean):
                 loop = scan(ps, m, k, objective, math.inf, monkeypatch)
                 batch = scan(ps, m, k, objective, 1, monkeypatch)
                 assert batch == loop, (n, k)
