@@ -14,12 +14,14 @@ import numpy as np
 from .certificates import DiskFamily
 from .geometry import Disk, Point, orientation
 from .matching import (
+    _BATCH_MIN_WORK,
     DEFAULT_ORACLE_CAP,
     Matching,
     PointSet,
-    k_local_search,
-    optimal_matching,
-    weight,
+    _batch_k_local_search,
+    _batch_max_weight,
+    _transitions,
+    greedy_matching,
 )
 
 __all__ = [
@@ -199,6 +201,10 @@ class MinerConfig:
             raise ValueError(f"k must be at least 1, got {self.k}")
         if self.num_points % 2 or self.num_points < 2:
             raise ValueError(f"num_points must be even >= 2, got {self.num_points}")
+        if self.k > self.num_points // 2:
+            raise ValueError(
+                f"k = {self.k} exceeds the {self.num_points // 2} pairs of {self.num_points} points"
+            )
         if self.num_points > 2 * DEFAULT_ORACLE_CAP:
             raise ValueError(
                 f"num_points {self.num_points} exceeds the oracle cap {2 * DEFAULT_ORACLE_CAP}"
@@ -221,10 +227,53 @@ class MinedInstance:
     iterations_used: int
 
 
-def _search_ratio(ps: PointSet, k: int, init: Optional[Matching]) -> tuple[Matching, float]:
-    m = k_local_search(ps, k, init)
-    w_opt = weight(optimal_matching(ps, "maximize"), ps)
-    return m, weight(m, ps) / w_opt
+def _search_ratios(D: np.ndarray, init: Matching, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``k_local_search`` from `init` on each point set of the stack D
+    (B, n, n), and ``weight(m) / weight(optimal_matching)``: the local
+    pairs and the ratios, bit for bit those of one set at a time."""
+    pairs, w_local = _batch_k_local_search(D, init, k)
+    return pairs, w_local / _batch_max_weight(D)
+
+
+def _moved_dists(ps: PointSet, moves: list[tuple[int, Point]]) -> np.ndarray:
+    """(B, n, n): `ps`'s distance array once per move (point index, new
+    point), with the moved point's row and column recomputed by
+    ``math.dist`` as ``PointSet.dist`` computes them."""
+    coords = ps.coords
+    D = np.repeat(ps._dist_array[None], len(moves), axis=0)
+    for row, (i, point) in enumerate(moves):
+        xy = point.as_tuple()
+        D[row, i] = D[row, :, i] = [math.dist(xy, c) for c in coords[:i] + (xy,) + coords[i + 1 :]]
+    return D
+
+
+def _judge(
+    ps: PointSet, m: Matching, ratio: float, k: int, moves: list[tuple[int, Point]]
+) -> Optional[tuple[int, PointSet, Matching, float]]:
+    """The first of `moves` whose candidate lowers the ratio, as (its
+    position, point set, local matching, ratio); None if none does.
+
+    A move (point index, new point) gives `ps` with that point moved, and
+    is skipped when PointSet rejects it.  All candidates are judged at once,
+    warm-started from `m`.
+    """
+    found = []
+    for pos, (i, point) in enumerate(moves):
+        pts = list(ps.points)
+        pts[i] = point
+        try:
+            found.append((pos, PointSet(pts)))
+        except ValueError:
+            continue
+    if not found:
+        return None
+    pairs, ratios = _search_ratios(_moved_dists(ps, [moves[pos] for pos, _ in found]), m, k)
+    better = np.flatnonzero(ratios < ratio)
+    if not better.size:
+        return None
+    row = int(better[0])
+    pos, cand = found[row]
+    return pos, cand, Matching(pairs[row].tolist()), float(ratios[row])
 
 
 def mine_low_ratio(cfg: MinerConfig, progress=None) -> MinedInstance:
@@ -237,34 +286,59 @@ def mine_low_ratio(cfg: MinerConfig, progress=None) -> MinedInstance:
     accepted only when the ratio strictly decreases.  Returns the best
     instance over all restarts (ties broken by restart index); a spent
     budget is not an error.
+
+    Steps are judged in look-ahead blocks (``_judge``), since accepts are
+    rare: a block's candidates all perturb the current instance, the first
+    one that lowers the ratio is taken, and the draws after it carry over
+    to the next block.  A step draws its coordinate, then a standard
+    normal z, and its noise is ``0.0 + scale * z``, which equals
+    ``normal(0.0, scale)`` bit for bit; so the scale can change after an
+    accept without reordering the stream, and the results are those of
+    judging one step at a time.  Blocks start at the batch crossover
+    (``_BATCH_MIN_WORK`` transitions), grow 4x while nothing is accepted,
+    start over after an accept, and never exceed the work of one oracle
+    call at ``DEFAULT_ORACLE_CAP``.
     """
+    n, k = cfg.num_points, cfg.k
+    work = _transitions(n) + math.comb(n // 2, k) * _transitions(2 * k)  # oracle + full scan
+    first_block = -(-_BATCH_MIN_WORK // work)
+    max_block = max(1, _transitions(2 * DEFAULT_ORACLE_CAP) // work)
     best: tuple[float, int, PointSet, Matching] | None = None
     total_iterations = 0
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
-        ps = _random_points(rng, cfg.num_points)
-        m, ratio = _search_ratio(ps, cfg.k, None)
+        ps = _random_points(rng, n)
+        pairs, ratios = _search_ratios(ps._dist_array[None], greedy_matching(ps), k)
+        m, ratio = Matching(pairs[0].tolist()), float(ratios[0])
         accepted = 0
-        for _ in range(cfg.budget_iterations):
-            total_iterations += 1
-            coord = int(rng.integers(0, 2 * cfg.num_points))
-            noise = float(rng.normal(0.0, cfg.step_scale * 0.99 ** (accepted // 100)))
-            pts = list(ps.points)
-            p = pts[coord // 2]
-            moved = (
-                Point(p.x + noise, p.y) if coord % 2 == 0 else Point(p.x, p.y + noise)
-            )
-            pts[coord // 2] = moved
-            try:
-                cand = PointSet(pts)
-            except ValueError:
+        draws: list[tuple[int, float]] = []  # (coordinate, z) not yet judged
+        done = 0
+        size = first_block
+        while done < cfg.budget_iterations:
+            block = min(size, cfg.budget_iterations - done)
+            while len(draws) < block:
+                draws.append((int(rng.integers(0, 2 * n)), rng.standard_normal()))
+            scale = cfg.step_scale * 0.99 ** (accepted // 100)
+            moves = []
+            for coord, z in draws[:block]:
+                noise = 0.0 + scale * z  # what normal(0.0, scale) computes
+                p = ps.points[coord // 2]
+                moved = Point(p.x + noise, p.y) if coord % 2 == 0 else Point(p.x, p.y + noise)
+                moves.append((coord // 2, moved))
+            verdict = _judge(ps, m, ratio, k, moves)
+            if verdict is None:
+                done += block
+                del draws[:block]
+                size = min(4 * size, max_block)
                 continue
-            cand_m, cand_ratio = _search_ratio(cand, cfg.k, m)
-            if cand_ratio < ratio:
-                ps, m, ratio = cand, cand_m, cand_ratio
-                accepted += 1
-                if progress is not None:
-                    progress(restart, total_iterations, ratio)
+            pos, ps, m, ratio = verdict
+            done += pos + 1
+            del draws[: pos + 1]
+            size = first_block
+            accepted += 1
+            if progress is not None:
+                progress(restart, total_iterations + done, ratio)
+        total_iterations += cfg.budget_iterations
         if best is None or (ratio, restart) < (best[0], best[1]):
             best = (ratio, restart, ps, m)
     assert best is not None

@@ -5,8 +5,10 @@ decomposition of two matchings.
 The oracle and the locality scans solve one subset recurrence: pair the
 lowest free index with each other free one.  Small calls run it as a
 scalar memo (``_dp_optimal``); larger ones run it level by level in numpy
-over a batch of index sets at once (``_batch_optimal``), with bit-for-bit
-the same weights and pairs.
+over a stack of distance arrays at once (``_batch_optimal``), with
+bit-for-bit the same weights and pairs.  A stack holds index sets of one
+point set (the oracle, the scans) or whole point sets (the miner's
+candidates, through ``_batch_k_local_search`` and ``_batch_max_weight``).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ Objective = Literal["maximize", "minimize"]
 
 # Oracle cap counts edges: up to 13 pairs / 26 points for the subset DP.
 # In a fresh interpreter the first call at 26 points, plan build included,
-# takes ~0.22 s and peaks at ~69 MB RSS (the scalar memo: ~1.2 s, 105 MB);
+# takes ~0.2 s and peaks at ~64 MB RSS (the scalar memo: ~1.2 s, 105 MB);
 # later calls reuse the plan and take ~0.04 s.  Shared 2-core 2.1 GHz Xeon
 # VM, Python 3.11, numpy 2.4.  Each further pair costs ~3x time and memory.
 DEFAULT_ORACLE_CAP = 13
@@ -251,44 +253,63 @@ def _plan(k: int) -> tuple[_Level, ...]:
     196,417 and 2,136,001, at 28 514,228 and 6,052,062.  The cache holds
     one plan per even size in use: up to 26 positions under the default
     oracle cap, more only when a caller raises the cap or scans more than
-    13 edges at once.
+    13 edges at once.  Temporaries stay int32 where they can and are
+    dropped as soon as the next level no longer needs them.
     """
     masks = np.array([(1 << k) - 1], dtype=np.int32)
     cols = np.arange(k, dtype=np.int32)[None, :]  # free positions of each state
     levels = []
     for p in range(k, 0, -2):
-        width = p - 1
-        low, partners = cols[:, :1], cols[:, 1:]
-        tails = (masks[:, None] ^ (1 << low) ^ (1 << partners)).T.ravel()
-        states = len(masks)
-        masks, index = np.unique(tails, return_inverse=True)
-        levels.append(_Level(width, _frozen((low * k + partners).T.ravel()), _frozen(index)))
+        width, states = p - 1, len(masks)
+        low = cols[:, 0]
+        tails = cols[:, 1:].T.copy()  # partners, partner-major
+        lin = _frozen((tails + low * k).ravel())
+        np.left_shift(1, tails, out=tails)
+        tails ^= masks ^ (1 << low)
+        tails = tails.ravel()
+        # np.unique(tails, return_inverse=True) without its int64 temporaries.
+        order = np.argsort(tails)
+        ordered = tails[order]
+        del tails
+        first = np.empty(len(ordered), dtype=bool)
+        first[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        masks = ordered[first]
+        del ordered
+        rank = np.cumsum(first, dtype=np.int32)
+        rank -= 1
+        index = np.empty_like(rank)
+        index[order] = rank
+        del rank
+        levels.append(_Level(width, lin, _frozen(index)))
+        del index
         if p > 2:
             # Free positions of each new state, read off one transition into
             # it: its parent's positions without the pair it matched.
-            into = np.empty(len(masks), dtype=np.intp)
-            into[index] = np.arange(len(tails))
-            j, parent = np.divmod(into, states)
-            keep = np.array([[c for c in range(1, p) if c != i + 1] for i in range(width)])
-            cols = np.take_along_axis(cols[parent], keep[j], axis=1)
+            j, parent = np.divmod(order[first], states)
+            del order, first
+            keep = np.arange(1, p) != j[:, None] + 1
+            cols = cols[parent][:, 1:][keep].reshape(len(masks), p - 2)
     return tuple(levels)
 
 
-def _batch_optimal(
-    D: np.ndarray, rows: np.ndarray, objective: Objective
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Optimum perfect matchings on B index sets of one even size k at once.
+def _batch_optimal(local: np.ndarray, objective: Objective) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Optimum perfect matchings on a stack of B distance arrays of one even
+    size k at once.
 
-    ``rows`` is (B, k) indices into the distance array D.  Returns the (B,)
-    optimum weights and each level's (B, states) choices, top level first,
-    from which ``_batch_pairs`` reads a row's pairs.  Both equal
-    ``_dp_optimal`` on that row: level by level from the bottom, a
-    transition's candidate is the same sum ``best[tail] + dist[low][partner]``
-    of the same floats, and the first arg-extremum over a state's ascending
-    partners is the memo's strict-improvement choice, ties included.
+    ``local`` is (B, k, k): each row's own distances among its k positions,
+    gathered by the caller from one point set (index sets of the oracle and
+    the locality scans) or from one point set per row (the miner's
+    candidates).  Returns the (B,) optimum weights and each level's
+    (B, states) choices, top level first, from which ``_batch_pairs`` reads
+    the pairs.  Both equal ``_dp_optimal`` on that row: level by level from
+    the bottom, a transition's candidate is the same sum
+    ``best[tail] + dist[low][partner]`` of the same floats, and the first
+    arg-extremum over a state's ascending partners is the memo's
+    strict-improvement choice, ties included.
     """
-    b, k = rows.shape
-    local = D[rows[:, :, None], rows[:, None, :]].reshape(b, k * k)
+    b, k, _ = local.shape
+    local = local.reshape(b, k * k)
     best = np.zeros((b, 1))
     choices = []
     for level in reversed(_plan(k)):
@@ -304,7 +325,8 @@ def _batch_optimal(
 
 
 def _batch_pairs(rows: np.ndarray, choices: list[np.ndarray], r: int) -> tuple[Pair, ...]:
-    """Pairs of row r's optimum from ``_batch_optimal``'s choices, top down."""
+    """Pairs of row r's optimum from ``_batch_optimal``'s choices, top down;
+    ``rows`` (B, k) gives the indices of each row's positions."""
     k = rows.shape[1]
     state = 0
     pairs = []
@@ -316,22 +338,44 @@ def _batch_pairs(rows: np.ndarray, choices: list[np.ndarray], r: int) -> tuple[P
     return tuple(pairs)
 
 
+def _stack_pairs(rows: np.ndarray, choices: list[np.ndarray], picks: np.ndarray) -> np.ndarray:
+    """``_batch_pairs`` of every picked row at once, as a (len(picks),
+    k // 2, 2) array.  Each level pairs the lowest free position, so a
+    row's pairs come out sorted as ``Matching`` stores them."""
+    k = rows.shape[1]
+    state = np.zeros(len(picks), dtype=np.intp)
+    pairs = np.empty((len(picks), k // 2, 2), dtype=rows.dtype)
+    for t, (level, choice) in enumerate(zip(_plan(k), choices)):
+        move = choice[picks, state] * (level.lin.size // level.width) + state
+        low, partner = np.divmod(level.lin[move], k)
+        pairs[:, t, 0] = rows[picks, low]
+        pairs[:, t, 1] = rows[picks, partner]
+        state = level.tails[move]
+    return pairs
+
+
 # Calls solving fewer than this many transitions in all (index sets x
 # transitions per set) run the scalar memo: below it numpy's fixed cost per
 # level outweighs the memo's ~0.4 us per transition.  One oracle call
 # crosses over between 8 points (97 transitions: 40 us memo, 58 us batch)
 # and 10 (332: 148 vs 75 us).  For k_local_search plus its verdict, from
 # greedy on random sets (n = 8-16, k = 2-4), 300 was the fastest or within
-# ~10 % of the fastest of 60, 120, 300, 600, 1200 and "never batch"; the
-# miner's calls (at most 104) stay on the memo.  Shared 2-core 2.1 GHz
-# Xeon VM, Python 3.11, numpy 2.4.
+# ~10 % of the fastest of 60, 120, 300, 600, 1200 and "never batch".  The
+# miner's single calls are smaller (at most 104 transitions), so it judges
+# its candidates in blocks of at least this much work, one batched call
+# for the block's oracles and one per search round.  Shared 2-core
+# 2.1 GHz Xeon VM, Python 3.11, numpy 2.4.
 _BATCH_MIN_WORK = 300
 
 
 @functools.cache
 def _transitions(k: int) -> int:
-    """Transitions in the k-position recurrence: the size of its plan."""
-    return sum(level.lin.size for level in _plan(k))
+    """Transitions in the k-position recurrence, the size of its plan,
+    counted without building it.  A state t pairs down has its lowest free
+    position f >= t (all below are matched) and 2t - f matched positions
+    above f; summed over f, the level holds C(k - t, t) states, each with
+    k - 2t - 1 transitions."""
+    return sum(math.comb(k - t, t) * (k - 2 * t - 1) for t in range(k // 2))
 
 
 def _batched(sets: int, k: int) -> bool:
@@ -358,9 +402,8 @@ def optimal_matching(
         raise ValueError(f"unknown objective {objective!r}")
     if not _batched(1, n):
         return Matching(_dp_optimal(ps.dist, range(n), objective)[1])
-    rows = np.arange(n)[None, :]
-    _, choices = _batch_optimal(ps._dist_array, rows, objective)
-    return Matching(_batch_pairs(rows, choices, 0))
+    _, choices = _batch_optimal(ps._dist_array[None], objective)
+    return Matching(_batch_pairs(np.arange(n)[None, :], choices, 0))
 
 
 def enumerate_matchings(ps: PointSet) -> Iterator[Matching]:
@@ -402,6 +445,16 @@ def _subset_weight(dist, pairs: Sequence[Pair]) -> float:
     total = 0.0
     for i, j in pairs:
         total += dist[i][j]
+    return total
+
+
+def _sum_in_order(lengths: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, column by column from the left, the order in
+    which ``weight`` and ``_subset_weight`` add (``np.sum`` pairs terms
+    differently and may round differently)."""
+    total = lengths[..., 0]
+    for col in range(1, lengths.shape[-1]):
+        total = total + lengths[..., col]
     return total
 
 
@@ -447,12 +500,9 @@ def _scan_batched(
     size = -(-_BATCH_MIN_WORK // _transitions(2 * k))
     while block := list(itertools.islice(combos, size)):
         edges = pairs[np.array(block)]  # (rows, k, 2)
-        lengths = D[edges[:, :, 0], edges[:, :, 1]]
-        current = lengths[:, 0]
-        for c in range(1, k):
-            current = current + lengths[:, c]
+        current = _sum_in_order(D[edges[:, :, 0], edges[:, :, 1]])
         rows = np.sort(edges.reshape(len(block), 2 * k), axis=1)
-        opt, choices = _batch_optimal(D, rows, objective)
+        opt, choices = _batch_optimal(D[rows[:, :, None], rows[:, None, :]], objective)
         hits = np.flatnonzero(sign * (opt - current) > threshold)
         if hits.size:
             first = int(hits[0])
@@ -542,6 +592,56 @@ def k_local_search(ps: PointSet, k: int, init: Optional[Matching] = None) -> Mat
         dropped = set(subset)
         kept = [pair for pair in m.pairs if pair not in dropped]
         m = Matching(kept + list(replacement))
+
+
+def _batch_k_local_search(D: np.ndarray, init: Matching, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``k_local_search`` from `init` on each point set of a stack, in
+    lockstep.
+
+    ``D`` is (B, n, n): one point set's distance array per row, all of one
+    size, with ``1 <= k <= n // 2``.  Each round scans every k-subset of
+    every row that is not yet clean in one ``_batch_optimal`` call; a row
+    with a violation takes its first one, in ``_scan_k_subsets``' order
+    and with its arithmetic (weights summed column by column in pair
+    order), and rescans.  Returns the (B, n // 2, 2) pairs, sorted as
+    ``Matching`` stores them, and their (B,) weights as ``weight`` sums
+    them.
+    """
+    b, n, _ = D.shape
+    combos = np.array(list(itertools.combinations(range(n // 2), k)))  # (C, k)
+    pairs = np.repeat(np.array(init.pairs)[None], b, axis=0)
+    weights = np.empty(b)
+    active = np.arange(b)
+    while active.size:
+        a, c = len(active), len(combos)
+        held = pairs[active]
+        lengths = D[active[:, None], held[:, :, 0], held[:, :, 1]]  # (a, n // 2)
+        weights[active] = total = _sum_in_order(lengths)
+        current = _sum_in_order(lengths[:, combos])  # (a, C)
+        rows = np.sort(held[:, combos].reshape(a * c, 2 * k), axis=1)
+        owner = np.repeat(active, c)[:, None, None]
+        opt, choices = _batch_optimal(D[owner, rows[:, :, None], rows[:, None, :]], "maximize")
+        hits = opt.reshape(a, c) - current > (DEFAULT_TOL.eps_geom * total)[:, None]
+        swap = np.flatnonzero(hits.any(axis=1))
+        first = hits[swap].argmax(axis=1)
+        swapped = held[swap]
+        rematch = _stack_pairs(rows, choices, swap * c + first)
+        swapped[np.arange(len(swap))[:, None], combos[first]] = rematch
+        order = np.argsort(swapped[:, :, 0], axis=1)
+        active = active[swap]
+        pairs[active] = np.take_along_axis(swapped, order[:, :, None], axis=1)
+    return pairs, weights
+
+
+def _batch_max_weight(D: np.ndarray) -> np.ndarray:
+    """``weight(optimal_matching(ps), ps)`` for each point set of a stack
+    ``D`` (B, n, n): the optimum's pairs, re-summed left to right as
+    ``weight`` adds them."""
+    b, n, _ = D.shape
+    rows = np.broadcast_to(np.arange(n), (b, n))
+    _, choices = _batch_optimal(D, "maximize")
+    pairs = _stack_pairs(rows, choices, np.arange(b))
+    return _sum_in_order(D[np.arange(b)[:, None], pairs[:, :, 0], pairs[:, :, 1]])
 
 
 @dataclass(frozen=True)

@@ -231,6 +231,15 @@ class TestMineCommand:
         assert main(args + ["--output", str(out2)]) == 0
         assert out1.read_text() == out2.read_text()
 
+    def test_k_above_pair_count_rejected(self, tmp_path, capsys):
+        # 6 points have 3 pairs; an instance labelled k = 4 could not be
+        # verified, so nothing is mined or written.
+        out = tmp_path / "mined.json"
+        assert main(["mine", "--k", "4", "--n", "6", "--budget", "10",
+                     "--output", str(out)]) == 1
+        assert "exceeds the 3 pairs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_reproduces_stored_ratio(self, tmp_path):
         out = tmp_path / "mined.json"
         assert main(["mine", "--k", "2", "--n", "6", "--seed", "6", "--budget", "400",

@@ -1,10 +1,14 @@
 """Tests for instance generators and the adversarial ratio miner."""
 
 import itertools
+import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from localmatch import generators
 from localmatch.certificates import ENLARGEMENT_FACTOR, common_point
 from localmatch.generators import (
     LOWER_BOUNDS,
@@ -17,10 +21,11 @@ from localmatch.generators import (
     gen_tangent_disks,
     mine_low_ratio,
 )
-from localmatch.geometry import disks_intersect, distance, orientation
+from localmatch.geometry import Point, disks_intersect, distance, orientation
 from localmatch.matching import (
     DEFAULT_ORACLE_CAP,
     Matching,
+    PointSet,
     is_k_local_max,
     is_k_local_min,
     optimal_matching,
@@ -165,7 +170,7 @@ class TestMiner:
         ps, m = mined.point_set, mined.local_matching
         assert is_k_local_max(ps, m, mined.k).is_local_max
         recomputed = weight(m, ps) / weight(optimal_matching(ps), ps)
-        assert recomputed == pytest.approx(mined.ratio, abs=1e-9)
+        assert recomputed == mined.ratio
         assert mined.ratio >= LOWER_BOUNDS[mined.k] - 1e-9
 
     def test_budget_is_spent_not_an_error(self):
@@ -189,3 +194,57 @@ class TestMiner:
             MinerConfig(k=2, num_points=2 * DEFAULT_ORACLE_CAP + 2, budget_iterations=10)
         with pytest.raises(ValueError):
             MinerConfig(k=2, num_points=6, budget_iterations=0)
+        # k above the number of pairs would label the instance with a
+        # locality no verdict can check.
+        with pytest.raises(ValueError, match="exceeds the 3 pairs"):
+            MinerConfig(k=4, num_points=6, budget_iterations=10)
+        MinerConfig(k=3, num_points=6, budget_iterations=10)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "miner_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "golden", GOLDEN, ids=lambda g: "k{k}-n{num_points}-seed{seed}".format(**g["config"])
+)
+def test_miner_matches_recorded_runs(golden):
+    # Recorded from the one-candidate-at-a-time miner: the look-ahead
+    # blocks must reproduce points, matching, ratio, iteration count and
+    # every progress call bit for bit.  The configurations cover k = 1-3 at
+    # 6, 8 and 12 points, restarts with accepts, warm-started searches that
+    # swap, and (k = 1) a restart past 100 accepts, where the scale anneals.
+    calls = []
+    mined = mine_low_ratio(
+        MinerConfig(**golden["config"]),
+        progress=lambda restart, iteration, ratio: calls.append([restart, iteration, ratio.hex()]),
+    )
+    assert [[p.x.hex(), p.y.hex()] for p in mined.point_set.points] == golden["points"]
+    assert [list(pair) for pair in mined.local_matching.pairs] == golden["pairs"]
+    assert mined.ratio.hex() == golden["ratio"]
+    assert mined.iterations_used == golden["iterations_used"]
+    assert calls == golden["progress"]
+
+
+def test_noise_identity():
+    # The miner draws z = standard_normal() and scales it by the step it
+    # uses, so the step can anneal between drawing and using z.  That
+    # equals normal(0.0, scale) bit for bit at every annealed scale.
+    for j in range(12):
+        scale = 0.15 * 0.99**j
+        a, b = np.random.default_rng(j), np.random.default_rng(j)
+        for _ in range(500):
+            assert (0.0 + scale * a.standard_normal()).hex() == float(b.normal(0.0, scale)).hex()
+
+
+def test_moved_dists_equal_point_set_dist():
+    ps = gen_random(8, seed=3)
+    rng = np.random.default_rng(0)
+    moves = []
+    for _ in range(20):
+        i = int(rng.integers(0, 8))
+        moves.append((i, Point(float(rng.uniform(-1, 2)), float(rng.uniform(-1, 2)))))
+    D = generators._moved_dists(ps, moves)
+    for row, (i, point) in enumerate(moves):
+        pts = list(ps.points)
+        pts[i] = point
+        assert D[row].tolist() == [list(r) for r in PointSet(pts).dist]

@@ -1,6 +1,7 @@
 """Tests for the matching oracle, locality checks, local search, and
 cycle decomposition."""
 
+import hashlib
 import itertools
 import math
 
@@ -238,7 +239,7 @@ class TestBatchedOracle:
         for name, ps in batch_instances():
             n = len(ps)
             rows = np.arange(n)[None, :]
-            weights, choices = matching._batch_optimal(ps._dist_array, rows, objective)
+            weights, choices = matching._batch_optimal(ps._dist_array[None], objective)
             want_w, want_pairs = matching._dp_optimal(ps.dist, range(n), objective)
             assert float(weights[0]).hex() == want_w.hex(), name
             assert matching._batch_pairs(rows, choices, 0) == want_pairs, name
@@ -249,11 +250,14 @@ class TestBatchedOracle:
         rng = np.random.default_rng(7)
         for k in (2, 4, 6, 8):
             rows = np.sort(np.array([rng.choice(16, k, replace=False) for _ in range(40)]), axis=1)
-            weights, choices = matching._batch_optimal(ps._dist_array, rows, objective)
+            local = ps._dist_array[rows[:, :, None], rows[:, None, :]]
+            weights, choices = matching._batch_optimal(local, objective)
+            stacked = matching._stack_pairs(rows, choices, np.arange(40))
             for r, row in enumerate(rows.tolist()):
                 want_w, want_pairs = matching._dp_optimal(ps.dist, row, objective)
                 assert float(weights[r]).hex() == want_w.hex()
                 assert matching._batch_pairs(rows, choices, r) == want_pairs
+                assert stacked[r].tolist() == [list(pair) for pair in want_pairs]
 
     def test_plan_sizes(self):
         plan = matching._plan(20)
@@ -267,13 +271,36 @@ class TestBatchedOracle:
         assert max(level.lin.size // level.width for level in plan) == 125_970
         assert {level.tails.dtype for level in plan} == {np.dtype(np.uint16), np.dtype(np.uint32)}
 
+    def test_transitions_counted_without_a_plan(self):
+        for k in range(2, 21, 2):
+            assert matching._transitions(k) == sum(level.lin.size for level in matching._plan(k))
+        assert matching._transitions(26) == 2_136_001
+
+    @pytest.mark.parametrize(
+        "k, digest",
+        [
+            (20, "a67b972b6acf1a03a4c45832aa08ed07a6bbfa0d07be73d15df3ba62ebca89b3"),
+            (26, "7ededb26e3fe5cbb8c29bb10851407cde8a861d863ce5bde620a55cff151ce67"),
+            (28, "4d40f62f0e04b7d0dc764d2d9d84f23511665def7966b7b6750068685d6cc9ff"),
+        ],
+    )
+    def test_plan_bytes_unchanged(self, k, digest):
+        # Digests of every level's lin and tails (dtype and bytes), recorded
+        # from the np.unique-based build the current one replaced.
+        h = hashlib.sha256()
+        for level in matching._plan(k):
+            for array in (level.lin, level.tails):
+                h.update(array.dtype.str.encode())
+                h.update(array.tobytes())
+        assert h.hexdigest() == digest
+
     def test_raised_cap_runs_batched(self):
         # 28 points: above the default cap, solved by the batch with the
         # memo's weight and pairs.
         ps = gen_random(28, seed=5)
         want_w, want_pairs = matching._dp_optimal(ps.dist, range(28), "maximize")
         assert optimal_matching(ps, cap=14).pairs == want_pairs
-        weights, _ = matching._batch_optimal(ps._dist_array, np.arange(28)[None, :], "maximize")
+        weights, _ = matching._batch_optimal(ps._dist_array[None], "maximize")
         assert float(weights[0]).hex() == want_w.hex()
 
     def test_plan_arrays_read_only(self):
@@ -294,6 +321,27 @@ class TestBatchedOracle:
                 want = matching._dp_optimal(ps.dist, range(n), objective)[1]
                 assert optimal_matching(ps, objective).pairs == want
         assert set(built) == {10}
+
+
+class TestBatchedLocalSearch:
+    """The stack forms the miner judges its candidates with, against
+    k_local_search and the oracle on each point set alone, bit for bit."""
+
+    @pytest.mark.parametrize("n, k", [(6, 1), (6, 2), (8, 2), (8, 3), (12, 3), (10, 5)])
+    def test_equal_to_one_set_at_a_time(self, n, k):
+        sets = [gen_random(n, seed=seed) for seed in range(12)]
+        init = Matching((2 * i, 2 * i + 1) for i in range(n // 2))
+        D = np.array([ps._dist_array for ps in sets])
+        pairs, weights = matching._batch_k_local_search(D, init, k)
+        optimum = matching._batch_max_weight(D)
+        swapped = 0
+        for r, ps in enumerate(sets):
+            want = k_local_search(ps, k, init)
+            assert pairs[r].tolist() == [list(pair) for pair in want.pairs]
+            assert float(weights[r]).hex() == weight(want, ps).hex()
+            assert float(optimum[r]).hex() == weight(optimal_matching(ps), ps).hex()
+            swapped += want != init
+        assert swapped or k == 1
 
 
 def scan(ps, m, k, objective, min_work, monkeypatch):
