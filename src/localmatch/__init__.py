@@ -47,7 +47,6 @@ from .geometry import (
     DEFAULT_TOL,
     Disk,
     Point,
-    Segment,
     Tolerance,
     diameter_bound,
     diametral_disk,
@@ -55,7 +54,6 @@ from .geometry import (
     distance,
     endpoint_bound,
     orientation,
-    segments_cross,
 )
 from .matching import (
     CapExceededError,

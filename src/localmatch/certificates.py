@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .geometry import DEFAULT_TOL, Disk, Point, Segment, diametral_disk, distance
+from .geometry import DEFAULT_TOL, Disk, Point, diametral_disk, distance
 from .matching import (
     DEFAULT_ORACLE_CAP,
     Matching,
@@ -582,7 +582,7 @@ def diametral_family(m: Matching, ps: PointSet, scale: float = 1.0) -> DiskFamil
         raise ValueError(f"scale must be at least 1, got {scale}")
     disks = []
     for i, j in m.pairs:
-        disks.append(diametral_disk(Segment(ps[i], ps[j])))
+        disks.append(diametral_disk(ps[i], ps[j]))
     return DiskFamily(tuple(disks), scale)
 
 

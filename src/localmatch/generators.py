@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from .matching import (
     PointSet,
     _batch_k_local_search,
     _batch_max_weight,
+    _coincide,
+    _combos,
     _transitions,
     greedy_matching,
 )
@@ -227,53 +229,82 @@ class MinedInstance:
     iterations_used: int
 
 
-def _search_ratios(D: np.ndarray, init: Matching, k: int) -> tuple[np.ndarray, np.ndarray]:
+class _WarmStart(NamedTuple):
+    """A point set's warm start: its k-local matching, ratio, and the gap of
+    every k-subset of the matching from the scan that found it clean."""
+
+    matching: Matching
+    ratio: float
+    gaps: np.ndarray
+
+
+def _search_ratios(
+    D: np.ndarray, init: Matching, k: int, gaps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``k_local_search`` from `init` on each point set of the stack D
-    (B, n, n), and ``weight(m) / weight(optimal_matching)``: the local
-    pairs and the ratios, bit for bit those of one set at a time."""
-    pairs, w_local = _batch_k_local_search(D, init, k)
-    return pairs, w_local / _batch_max_weight(D)
+    (B, n, n), with the subset gaps already known (``gaps``, NaN where
+    not), and ``weight(m) / weight(optimal_matching)``: the local pairs,
+    the last round's gaps and the ratios, bit for bit those of one set at
+    a time."""
+    pairs, w_local, gaps = _batch_k_local_search(D, init, k, gaps)
+    return pairs, gaps, w_local / _batch_max_weight(D)
 
 
-def _moved_dists(ps: PointSet, moves: list[tuple[int, Point]]) -> np.ndarray:
+def _moved_dists(ps: PointSet, moves: list[tuple[int, tuple[float, float]]]) -> np.ndarray:
     """(B, n, n): `ps`'s distance array once per move (point index, new
-    point), with the moved point's row and column recomputed by
+    coordinates), with the moved point's row and column recomputed by
     ``math.dist`` as ``PointSet.dist`` computes them."""
     coords = ps.coords
+    moved = []
+    for i, xy in moves:
+        row = [math.dist(xy, c) for c in coords]
+        row[i] = 0.0
+        moved.append(row)
     D = np.repeat(ps._dist_array[None], len(moves), axis=0)
-    for row, (i, point) in enumerate(moves):
-        xy = point.as_tuple()
-        D[row, i] = D[row, :, i] = [math.dist(xy, c) for c in coords[:i] + (xy,) + coords[i + 1 :]]
+    b, idx = np.arange(len(moves)), np.array([i for i, _ in moves])
+    D[b, idx] = D[b, :, idx] = np.array(moved)
     return D
 
 
 def _judge(
-    ps: PointSet, m: Matching, ratio: float, k: int, moves: list[tuple[int, Point]]
-) -> Optional[tuple[int, PointSet, Matching, float]]:
+    ps: PointSet, warm: _WarmStart, k: int, moves: list[tuple[int, tuple[float, float]]]
+) -> Optional[tuple[int, PointSet, _WarmStart]]:
     """The first of `moves` whose candidate lowers the ratio, as (its
-    position, point set, local matching, ratio); None if none does.
+    position, point set, warm start); None if none does.
 
-    A move (point index, new point) gives `ps` with that point moved, and
-    is skipped when PointSet rejects it.  All candidates are judged at once,
-    warm-started from `m`.
+    A move (point index, new coordinates) gives `ps` with that point moved.
+    It is skipped when PointSet would reject the moved set: the candidates
+    are judged from their distance stack alone, with PointSet's own rule
+    (``_coincide``), and points and a PointSet are built for the winner
+    only.  All candidates are judged at once, warm-started from the local
+    matching.  A candidate's subsets that do not hold the moved point's
+    edge keep their distances, so their gaps are the ones the warm start's
+    clean scan found; only the others are scanned in the first round.
     """
-    found = []
-    for pos, (i, point) in enumerate(moves):
-        pts = list(ps.points)
-        pts[i] = point
-        try:
-            found.append((pos, PointSet(pts)))
-        except ValueError:
-            continue
-    if not found:
+    n = len(ps)
+    D = _moved_dists(ps, moves)
+    upper = np.triu_indices(n, 1)
+    spans = D[:, upper[0], upper[1]]  # every gap of each candidate
+    kept = np.flatnonzero(~_coincide(spans.min(axis=1), spans.max(axis=1)))
+    if not kept.size:
         return None
-    pairs, ratios = _search_ratios(_moved_dists(ps, [moves[pos] for pos, _ in found]), m, k)
-    better = np.flatnonzero(ratios < ratio)
+    if kept.size < len(moves):
+        D = D[kept]
+    edge_of = np.empty(n, dtype=np.intp)  # each point's edge in the warm start
+    edge_of[np.array(warm.matching.pairs).ravel()] = np.arange(n // 2).repeat(2)
+    moved_edge = edge_of[[moves[pos][0] for pos in kept]]
+    holds = (_combos(n // 2, k)[None] == moved_edge[:, None, None]).any(axis=2)  # (B, C)
+    pairs, gaps, ratios = _search_ratios(D, warm.matching, k, np.where(holds, np.nan, warm.gaps))
+    better = np.flatnonzero(ratios < warm.ratio)
     if not better.size:
         return None
     row = int(better[0])
-    pos, cand = found[row]
-    return pos, cand, Matching(pairs[row].tolist()), float(ratios[row])
+    pos = int(kept[row])
+    i, (x, y) = moves[pos]
+    points = list(ps.points)
+    points[i] = Point(x, y)
+    warm = _WarmStart(Matching(pairs[row].tolist()), float(ratios[row]), gaps[row])
+    return pos, PointSet(points), warm
 
 
 def mine_low_ratio(cfg: MinerConfig, progress=None) -> MinedInstance:
@@ -290,7 +321,11 @@ def mine_low_ratio(cfg: MinerConfig, progress=None) -> MinedInstance:
     Steps are judged in look-ahead blocks (``_judge``), since accepts are
     rare: a block's candidates all perturb the current instance, the first
     one that lowers the ratio is taken, and the draws after it carry over
-    to the next block.  A step draws its coordinate, then a standard
+    to the next block.  Candidates are judged from their distance arrays;
+    a step whose moved set PointSet would reject is skipped, and only the
+    winner becomes a PointSet.  The warm start carries its subsets' gaps,
+    so a candidate's first search round scans only the subsets that hold
+    the moved point's edge.  A step draws its coordinate, then a standard
     normal z, and its noise is ``0.0 + scale * z``, which equals
     ``normal(0.0, scale)`` bit for bit; so the scale can change after an
     accept without reordering the stream, and the results are those of
@@ -308,8 +343,9 @@ def mine_low_ratio(cfg: MinerConfig, progress=None) -> MinedInstance:
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
         ps = _random_points(rng, n)
-        pairs, ratios = _search_ratios(ps._dist_array[None], greedy_matching(ps), k)
-        m, ratio = Matching(pairs[0].tolist()), float(ratios[0])
+        unknown = np.full((1, math.comb(n // 2, k)), np.nan)
+        pairs, gaps, ratios = _search_ratios(ps._dist_array[None], greedy_matching(ps), k, unknown)
+        warm = _WarmStart(Matching(pairs[0].tolist()), float(ratios[0]), gaps[0])
         accepted = 0
         draws: list[tuple[int, float]] = []  # (coordinate, z) not yet judged
         done = 0
@@ -319,28 +355,28 @@ def mine_low_ratio(cfg: MinerConfig, progress=None) -> MinedInstance:
             while len(draws) < block:
                 draws.append((int(rng.integers(0, 2 * n)), rng.standard_normal()))
             scale = cfg.step_scale * 0.99 ** (accepted // 100)
+            coords = ps.coords
             moves = []
             for coord, z in draws[:block]:
                 noise = 0.0 + scale * z  # what normal(0.0, scale) computes
-                p = ps.points[coord // 2]
-                moved = Point(p.x + noise, p.y) if coord % 2 == 0 else Point(p.x, p.y + noise)
-                moves.append((coord // 2, moved))
-            verdict = _judge(ps, m, ratio, k, moves)
+                x, y = coords[coord // 2]
+                moves.append((coord // 2, (x + noise, y) if coord % 2 == 0 else (x, y + noise)))
+            verdict = _judge(ps, warm, k, moves)
             if verdict is None:
                 done += block
                 del draws[:block]
                 size = min(4 * size, max_block)
                 continue
-            pos, ps, m, ratio = verdict
+            pos, ps, warm = verdict
             done += pos + 1
             del draws[: pos + 1]
             size = first_block
             accepted += 1
             if progress is not None:
-                progress(restart, total_iterations + done, ratio)
+                progress(restart, total_iterations + done, warm.ratio)
         total_iterations += cfg.budget_iterations
-        if best is None or (ratio, restart) < (best[0], best[1]):
-            best = (ratio, restart, ps, m)
+        if best is None or (warm.ratio, restart) < (best[0], best[1]):
+            best = (warm.ratio, restart, ps, warm.matching)
     assert best is not None
     ratio, _, ps, m = best
     bound = LOWER_BOUNDS.get(cfg.k, (cfg.k - 1) / cfg.k if cfg.k >= 2 else 0.0)

@@ -1,5 +1,5 @@
-"""Planar primitives: points, segments, disks, robust predicates, and the
-two extremal bound functions used by the ratio certificates.
+"""Planar primitives: points, disks, robust predicates, and the two
+extremal bound functions used by the ratio certificates.
 
 All types are immutable values and every function is pure, so everything
 here is safe to share across threads.
@@ -13,13 +13,11 @@ from fractions import Fraction
 
 __all__ = [
     "Point",
-    "Segment",
     "Disk",
     "Tolerance",
     "DEFAULT_TOL",
     "distance",
     "orientation",
-    "segments_cross",
     "diametral_disk",
     "disks_intersect",
     "endpoint_bound",
@@ -29,8 +27,6 @@ __all__ = [
 # Error bound for the floating-point orientation filter (Shewchuk's
 # ccwerrboundA for double precision).
 _ORIENT_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
-
-_SEGMENT_DEGENERACY = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,22 +40,6 @@ class Point:
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
-
-
-@dataclass(frozen=True)
-class Segment:
-    a: Point
-    b: Point
-
-    def __post_init__(self) -> None:
-        if distance(self.a, self.b) <= _SEGMENT_DEGENERACY:
-            raise ValueError(f"degenerate segment: endpoints {self.a} and {self.b} coincide")
-
-    def length(self) -> float:
-        return distance(self.a, self.b)
-
-    def midpoint(self) -> Point:
-        return Point((self.a.x + self.b.x) / 2.0, (self.a.y + self.b.y) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -127,24 +107,9 @@ def orientation(a: Point, b: Point, c: Point) -> int:
     return _orientation_exact(a.x, a.y, b.x, b.y, c.x, c.y)
 
 
-def segments_cross(s1: Segment, s2: Segment) -> bool:
-    """True iff the open segments properly cross (share one interior point).
-
-    Shared endpoints, endpoint-on-interior contact, and collinear overlap
-    all count as non-crossing.
-    """
-    d1 = orientation(s2.a, s2.b, s1.a)
-    d2 = orientation(s2.a, s2.b, s1.b)
-    if d1 * d2 >= 0:
-        return False
-    d3 = orientation(s1.a, s1.b, s2.a)
-    d4 = orientation(s1.a, s1.b, s2.b)
-    return d3 * d4 < 0
-
-
-def diametral_disk(s: Segment) -> Disk:
-    """Disk whose diameter is the segment: center at the midpoint."""
-    return Disk(s.midpoint(), s.length() / 2.0)
+def diametral_disk(a: Point, b: Point) -> Disk:
+    """Disk whose diameter is the segment ab: center at its midpoint."""
+    return Disk(Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0), distance(a, b) / 2.0)
 
 
 def disks_intersect(d1: Disk, d2: Disk) -> bool:

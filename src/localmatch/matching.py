@@ -9,6 +9,8 @@ over a stack of distance arrays at once (``_batch_optimal``), with
 bit-for-bit the same weights and pairs.  A stack holds index sets of one
 point set (the oracle, the scans) or whole point sets (the miner's
 candidates, through ``_batch_k_local_search`` and ``_batch_max_weight``).
+Every batched locality scan, one point set's or a lockstep search's, runs
+through one kernel, ``_scan_rows``.
 """
 
 from __future__ import annotations
@@ -61,6 +63,13 @@ class CapExceededError(ValueError):
     """Instance is larger than the exact oracle is willing to handle."""
 
 
+def _coincide(shortest, longest):
+    """``PointSet``'s coincidence rule: a set whose shortest gap is at most
+    eps_geom times its longest (its diameter) has two coinciding points.
+    Takes floats, or arrays of one set's gaps per row."""
+    return shortest <= DEFAULT_TOL.eps_geom * longest
+
+
 @dataclass(frozen=True)
 class PointSet:
     """Points no two of which lie within eps_geom times the set's diameter."""
@@ -70,10 +79,9 @@ class PointSet:
     def __init__(self, points: Sequence[Point]):
         pts = tuple(points)
         gaps = [math.hypot(a.x - b.x, a.y - b.y) for a, b in itertools.combinations(pts, 2)]
-        limit = DEFAULT_TOL.eps_geom * max(gaps, default=0.0)
-        if gaps and min(gaps) <= limit:
+        if gaps and _coincide(min(gaps), longest := max(gaps)):
             pairs = itertools.combinations(range(len(pts)), 2)
-            i, j = next(pair for pair, gap in zip(pairs, gaps) if gap <= limit)
+            i, j = next(pair for pair, gap in zip(pairs, gaps) if _coincide(gap, longest))
             raise ValueError(f"points {i} and {j} coincide: {pts[i]} ~ {pts[j]}")
         object.__setattr__(self, "points", pts)
 
@@ -344,14 +352,12 @@ def _stack_pairs(rows: np.ndarray, choices: list[np.ndarray], picks: np.ndarray)
     row's pairs come out sorted as ``Matching`` stores them."""
     k = rows.shape[1]
     state = np.zeros(len(picks), dtype=np.intp)
-    pairs = np.empty((len(picks), k // 2, 2), dtype=rows.dtype)
+    lin = np.empty((len(picks), k // 2), dtype=np.intp)  # low * k + partner per level
     for t, (level, choice) in enumerate(zip(_plan(k), choices)):
         move = choice[picks, state] * (level.lin.size // level.width) + state
-        low, partner = np.divmod(level.lin[move], k)
-        pairs[:, t, 0] = rows[picks, low]
-        pairs[:, t, 1] = rows[picks, partner]
+        lin[:, t] = level.lin[move]
         state = level.tails[move]
-    return pairs
+    return rows[picks[:, None, None], np.stack(np.divmod(lin, k), axis=2)]
 
 
 # Calls solving fewer than this many transitions in all (index sets x
@@ -362,8 +368,10 @@ def _stack_pairs(rows: np.ndarray, choices: list[np.ndarray], picks: np.ndarray)
 # greedy on random sets (n = 8-16, k = 2-4), 300 was the fastest or within
 # ~10 % of the fastest of 60, 120, 300, 600, 1200 and "never batch".  The
 # miner's single calls are smaller (at most 104 transitions), so it judges
-# its candidates in blocks of at least this much work, one batched call
-# for the block's oracles and one per search round.  Shared 2-core
+# its candidates in blocks of at least this much work: one ``_scan_rows``
+# call per search round (the first round holds only the subsets with the
+# moved point's edge) and one batched call for the block's oracles, each
+# split into chunks of ``_chunk_rows`` on large blocks.  Shared 2-core
 # 2.1 GHz Xeon VM, Python 3.11, numpy 2.4.
 _BATCH_MIN_WORK = 300
 
@@ -470,9 +478,9 @@ def _scan_k_subsets(
     one-by-one loop.
     """
     threshold = DEFAULT_TOL.eps_geom * weight(m, ps)
-    sign = 1.0 if objective == "maximize" else -1.0
     if _batched(math.comb(len(m), k), 2 * k):
-        return _scan_batched(ps, m, k, threshold, sign, objective)
+        return _scan_batched(ps, m, k, threshold, objective)
+    sign = 1.0 if objective == "maximize" else -1.0
     dist = ps.dist
     for subset in itertools.combinations(m.pairs, k):
         endpoints = sorted(i for pair in subset for i in pair)
@@ -483,30 +491,92 @@ def _scan_k_subsets(
     return None
 
 
+# Floats of work per _batch_optimal call on a stack (``_chunk_rows``): a
+# row of k positions costs its (k, k) distances plus its recurrence's
+# transitions.  This bounds the temporaries of a large look-ahead block (a
+# 2,048-candidate block at n = 8, k = 3 peaked at 8.7 MB traced when its
+# scan and its oracles ran as one call each); smaller stacks run as one call.
+_CHUNK = 1 << 16
+
+
+def _chunk_rows(k: int) -> int:
+    """Rows of k positions per ``_batch_optimal`` call on a large stack."""
+    return max(1, _CHUNK // (k * k + _transitions(k)))
+
+
+def _scan_rows(
+    D: np.ndarray, owner: np.ndarray, edges: np.ndarray, limit: np.ndarray, objective: Objective
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The locality scan's one kernel: row r holds k edges ``edges[r]``
+    (k, 2) of the point set ``D[owner[r]]``, and each owner's rows are
+    consecutive, in scan order.
+
+    A row's gap is how far the optimum on its 2k endpoints beats its own
+    edges: ``opt - current`` when maximizing, ``current - opt`` when
+    minimizing, where ``current`` sums the edges column by column in pair
+    order, as ``_subset_weight`` adds them.  A row is a hit when its gap
+    exceeds ``limit[owner[r]]``.  Returns the (R,) gaps, the first hit row
+    of each owner that has one, and those rows' optimal rematches
+    (h, k, 2), each pair sorted and the pairs in ``Matching`` order.
+    Rows run in chunks of ``_chunk_rows(2 * k)``.
+    """
+    k = edges.shape[1]
+    step = _chunk_rows(2 * k)
+    gap = np.empty(len(edges))
+    picks, rematch = [], []
+    last = -1  # owner of the latest pick
+    for lo in range(0, len(edges), step):
+        e, o = edges[lo : lo + step], owner[lo : lo + step]
+        current = _sum_in_order(D[o[:, None], e[:, :, 0], e[:, :, 1]])
+        rows = np.sort(e.reshape(len(e), 2 * k), axis=1)
+        local = D[o[:, None, None], rows[:, :, None], rows[:, None, :]]
+        opt, choices = _batch_optimal(local, objective)
+        g = gap[lo : lo + len(e)] = opt - current if objective == "maximize" else current - opt
+        hits = np.flatnonzero(g > limit[o])
+        if hits.size > 1:  # each owner's first hit
+            held = o[hits]
+            if held[0] == held[-1]:
+                hits = hits[:1]
+            else:
+                hits = hits[np.concatenate(([True], held[1:] != held[:-1]))]
+        if hits.size and o[hits[0]] == last:  # its owner's first was in an earlier chunk
+            hits = hits[1:]
+        if not hits.size:
+            continue
+        last = o[hits[-1]]
+        if hits.size == 1:  # one row: the scalar read is cheaper
+            rematch.append(np.array([_batch_pairs(rows, choices, int(hits[0]))]))
+        else:
+            rematch.append(_stack_pairs(rows, choices, hits))
+        picks.append(lo + hits)
+    if len(picks) == 1:
+        return gap, picks[0], rematch[0]
+    if not picks:
+        return gap, np.empty(0, dtype=np.intp), np.empty((0, k, 2), dtype=np.intp)
+    return gap, np.concatenate(picks), np.concatenate(rematch)
+
+
 def _scan_batched(
-    ps: PointSet, m: Matching, k: int, threshold: float, sign: float, objective: Objective
+    ps: PointSet, m: Matching, k: int, threshold: float, objective: Objective
 ) -> Optional[tuple[tuple[Pair, ...], tuple[Pair, ...]]]:
-    """_scan_k_subsets' loop on blocks of subsets, in the same order and
-    with the same arithmetic: each block's current weights are summed
-    column by column in pair order, as _subset_weight adds them.
+    """_scan_k_subsets' loop on blocks of subsets through ``_scan_rows``,
+    in the same order and with the same arithmetic.
 
     Blocks grow 4x from the crossover size, so a violation among the first
     subsets (the common case inside k_local_search) costs about one small
     batch, and a clean scan a few batch calls more than one.
     """
-    D = ps._dist_array
+    D = ps._dist_array[None]
     pairs = np.array(m.pairs)
+    limit = np.array([threshold])
     combos = itertools.combinations(range(len(m)), k)
     size = -(-_BATCH_MIN_WORK // _transitions(2 * k))
     while block := list(itertools.islice(combos, size)):
-        edges = pairs[np.array(block)]  # (rows, k, 2)
-        current = _sum_in_order(D[edges[:, :, 0], edges[:, :, 1]])
-        rows = np.sort(edges.reshape(len(block), 2 * k), axis=1)
-        opt, choices = _batch_optimal(D[rows[:, :, None], rows[:, None, :]], objective)
-        hits = np.flatnonzero(sign * (opt - current) > threshold)
-        if hits.size:
-            first = int(hits[0])
-            return tuple(m.pairs[c] for c in block[first]), _batch_pairs(rows, choices, first)
+        owner = np.zeros(len(block), dtype=np.intp)
+        _, picks, rematch = _scan_rows(D, owner, pairs[np.array(block)], limit, objective)
+        if picks.size:
+            subset = tuple(m.pairs[c] for c in block[int(picks[0])])
+            return subset, tuple(map(tuple, rematch[0].tolist()))
         size *= 4
     return None
 
@@ -594,54 +664,78 @@ def k_local_search(ps: PointSet, k: int, init: Optional[Matching] = None) -> Mat
         m = Matching(kept + list(replacement))
 
 
-def _batch_k_local_search(D: np.ndarray, init: Matching, k: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _combos(edges: int, k: int) -> np.ndarray:
+    """(C, k): the k-subsets of ``edges`` edge positions, in the scan's
+    lexicographic order."""
+    combos = np.array(list(itertools.combinations(range(edges), k)), dtype=np.intp)
+    combos.flags.writeable = False
+    return combos
+
+
+def _batch_k_local_search(
+    D: np.ndarray, init: Matching, k: int, gaps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``k_local_search`` from `init` on each point set of a stack, in
     lockstep.
 
     ``D`` is (B, n, n): one point set's distance array per row, all of one
-    size, with ``1 <= k <= n // 2``.  Each round scans every k-subset of
-    every row that is not yet clean in one ``_batch_optimal`` call; a row
-    with a violation takes its first one, in ``_scan_k_subsets``' order
-    and with its arithmetic (weights summed column by column in pair
-    order), and rescans.  Returns the (B, n // 2, 2) pairs, sorted as
-    ``Matching`` stores them, and their (B,) weights as ``weight`` sums
-    them.
+    size, with ``1 <= k <= n // 2``.  ``gaps`` (B, C) holds each row's
+    ``_scan_rows`` gap of every k-subset of `init` (in ``_combos`` order)
+    where an earlier scan on the same distances already found it, and NaN
+    where not.  Each round scans, in one ``_scan_rows`` call, the subsets
+    of every row that is not yet clean whose gap is unknown or a hit; a
+    row with a hit takes its first one, in ``_scan_k_subsets``' order and
+    with its arithmetic, and rescans all its subsets.  Returns the
+    (B, n // 2, 2) pairs, sorted as ``Matching`` stores them, their (B,)
+    weights as ``weight`` sums them, and the (B, C) gaps of each row's
+    last, clean round.
     """
     b, n, _ = D.shape
-    combos = np.array(list(itertools.combinations(range(n // 2), k)))  # (C, k)
+    combos = _combos(n // 2, k)
     pairs = np.repeat(np.array(init.pairs)[None], b, axis=0)
+    gaps = gaps.copy()
     weights = np.empty(b)
+    limit = np.empty(b)
     active = np.arange(b)
     while active.size:
-        a, c = len(active), len(combos)
         held = pairs[active]
         lengths = D[active[:, None], held[:, :, 0], held[:, :, 1]]  # (a, n // 2)
         weights[active] = total = _sum_in_order(lengths)
-        current = _sum_in_order(lengths[:, combos])  # (a, C)
-        rows = np.sort(held[:, combos].reshape(a * c, 2 * k), axis=1)
-        owner = np.repeat(active, c)[:, None, None]
-        opt, choices = _batch_optimal(D[owner, rows[:, :, None], rows[:, None, :]], "maximize")
-        hits = opt.reshape(a, c) - current > (DEFAULT_TOL.eps_geom * total)[:, None]
-        swap = np.flatnonzero(hits.any(axis=1))
-        first = hits[swap].argmax(axis=1)
+        limit[active] = DEFAULT_TOL.eps_geom * total
+        known = gaps[active]
+        row, col = np.nonzero(~(known <= limit[active][:, None]))  # unknown or a hit
+        scanned, picks, rematch = _scan_rows(
+            D, active[row], held[row[:, None], combos[col]], limit, "maximize"
+        )
+        known[row, col] = scanned
+        gaps[active] = known
+        if not picks.size:
+            break
+        swap = row[picks]
         swapped = held[swap]
-        rematch = _stack_pairs(rows, choices, swap * c + first)
-        swapped[np.arange(len(swap))[:, None], combos[first]] = rematch
+        swapped[np.arange(len(swap))[:, None], combos[col[picks]]] = rematch
         order = np.argsort(swapped[:, :, 0], axis=1)
         active = active[swap]
         pairs[active] = np.take_along_axis(swapped, order[:, :, None], axis=1)
-    return pairs, weights
+        gaps[active] = np.nan
+    return pairs, weights, gaps
 
 
 def _batch_max_weight(D: np.ndarray) -> np.ndarray:
     """``weight(optimal_matching(ps), ps)`` for each point set of a stack
     ``D`` (B, n, n): the optimum's pairs, re-summed left to right as
-    ``weight`` adds them."""
+    ``weight`` adds them.  Rows run in chunks of ``_chunk_rows(n)``."""
     b, n, _ = D.shape
-    rows = np.broadcast_to(np.arange(n), (b, n))
-    _, choices = _batch_optimal(D, "maximize")
-    pairs = _stack_pairs(rows, choices, np.arange(b))
-    return _sum_in_order(D[np.arange(b)[:, None], pairs[:, :, 0], pairs[:, :, 1]])
+    step = _chunk_rows(n)
+    out = np.empty(b)
+    for lo in range(0, b, step):
+        d = D[lo : lo + step]
+        _, choices = _batch_optimal(d, "maximize")
+        picks = np.arange(len(d))
+        pairs = _stack_pairs(np.broadcast_to(np.arange(n), (len(d), n)), choices, picks)
+        out[lo : lo + len(d)] = _sum_in_order(d[picks[:, None], pairs[:, :, 0], pairs[:, :, 1]])
+    return out
 
 
 @dataclass(frozen=True)

@@ -771,6 +771,21 @@ class TestCertify:
                 assert cert.oracle_weight <= cert.star_weight + 1e-9
             assert cert.matching_weight >= bound * cert.oracle_weight - 1e-9
 
+    def test_every_kind_certifies_at_tiny_scale(self):
+        # Scaled by 1e-12, edges are shorter than 1e-12.  Nothing on the
+        # certificate path may read an absolute length threshold: a
+        # diametral disk of such an edge is still a disk.
+        ps = gen_random(8, seed=3)
+        tiny = PointSet([Point(p.x * 1e-12, p.y * 1e-12) for p in ps.points])
+        m = k_local_search(tiny, 3)
+        assert m == k_local_search(ps, 3)
+        assert min(distance(tiny[i], tiny[j]) for i, j in m.pairs) < 1e-12
+        for kind in ("local2", "local3_sqrt2", "local3_fingerhut"):
+            cert = certify(tiny, m, kind)
+            assert cert.witness.holds()
+            assert cert.star_weight <= cert.beta * cert.matching_weight * (1 + 1e-7)
+            assert cert.oracle_weight <= cert.star_weight * (1 + 1e-9)
+
     def test_fingerhut_support_in_certificate_dict(self):
         ps = gen_random(8, seed=97_001)
         m = k_local_search(ps, 3)

@@ -19,7 +19,7 @@ from localmatch.crossing import (
     verify_globally_maximum,
 )
 from localmatch.generators import gen_convex, gen_random
-from localmatch.geometry import Point, Segment, segments_cross
+from localmatch.geometry import Point
 from localmatch.matching import (
     Matching,
     PointSet,
@@ -27,6 +27,7 @@ from localmatch.matching import (
     is_k_local_max,
     weight,
 )
+from segments import segments_cross
 
 
 def unit_square():
@@ -63,8 +64,8 @@ def brute_force_crossing(ps):
     the search's orientation table."""
     found, count = None, 0
     for m in enumerate_matchings(ps):
-        segments = [Segment(ps[i], ps[j]) for i, j in m.pairs]
-        if all(segments_cross(s, t) for s, t in itertools.combinations(segments, 2)):
+        segments = [(ps[i], ps[j]) for i, j in m.pairs]
+        if all(segments_cross(*s, *t) for s, t in itertools.combinations(segments, 2)):
             count += 1
             if found is None:
                 found = m

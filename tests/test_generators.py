@@ -21,11 +21,12 @@ from localmatch.generators import (
     gen_tangent_disks,
     mine_low_ratio,
 )
-from localmatch.geometry import Point, disks_intersect, distance, orientation
+from localmatch.geometry import DEFAULT_TOL, Point, disks_intersect, distance, orientation
 from localmatch.matching import (
     DEFAULT_ORACLE_CAP,
     Matching,
     PointSet,
+    greedy_matching,
     is_k_local_max,
     is_k_local_min,
     optimal_matching,
@@ -242,9 +243,58 @@ def test_moved_dists_equal_point_set_dist():
     moves = []
     for _ in range(20):
         i = int(rng.integers(0, 8))
-        moves.append((i, Point(float(rng.uniform(-1, 2)), float(rng.uniform(-1, 2)))))
+        moves.append((i, (float(rng.uniform(-1, 2)), float(rng.uniform(-1, 2)))))
     D = generators._moved_dists(ps, moves)
-    for row, (i, point) in enumerate(moves):
+    for row, (i, (x, y)) in enumerate(moves):
         pts = list(ps.points)
-        pts[i] = point
+        pts[i] = Point(x, y)
         assert D[row].tolist() == [list(r) for r in PointSet(pts).dist]
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_judge_skips_exactly_the_moves_point_set_rejects(scale, monkeypatch):
+    # A square's corners and center, and a sixth point.  The moves put that
+    # point on the center (an exact duplicate), at gaps just below and just
+    # above eps_geom times the diameter (the diagonal) from it, and farther
+    # off; one move of a corner leaves every gap wide.
+    layout = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5), (0.2, 0.7)]
+    pts = [Point(x * scale, y * scale) for x, y in layout]
+    ps = PointSet(pts)
+    limit = DEFAULT_TOL.eps_geom * math.hypot(scale, scale)
+    cx, cy = pts[4].x, pts[4].y
+    moves = [(5, (cx + f * limit, cy)) for f in (0.0, 0.5, 0.999, 1.001, 2.0)]
+    moves += [(0, (-0.1 * scale, 0.0)), (5, (cx, cy - 0.999 * limit))]
+    accepted, verdicts = [], []
+    for i, (x, y) in moves:
+        moved = list(pts)
+        moved[i] = Point(x, y)
+        try:
+            accepted.append(PointSet(moved))
+        except ValueError:
+            verdicts.append(True)
+        else:
+            verdicts.append(False)
+    assert verdicts == [True, True, True, False, False, False, True]
+    # The rule on the distance stack, as _judge applies it.
+    upper = np.triu_indices(6, 1)
+    spans = generators._moved_dists(ps, moves)[:, upper[0], upper[1]]
+    assert generators._coincide(spans.min(axis=1), spans.max(axis=1)).tolist() == verdicts
+
+    k = 2
+    unknown = np.full((1, math.comb(3, k)), np.nan)
+    D = ps._dist_array[None]
+    pairs, gaps, ratios = generators._search_ratios(D, greedy_matching(ps), k, unknown)
+    warm = generators._WarmStart(Matching(pairs[0].tolist()), float(ratios[0]), gaps[0])
+    judged = []
+
+    def record(D, init, k, gaps):
+        judged.append(D.copy())
+        return None, None, np.full(len(D), np.inf)  # no candidate wins
+
+    monkeypatch.setattr(generators, "_search_ratios", record)
+    assert generators._judge(ps, warm, k, moves) is None
+    want = [[list(r) for r in cand.dist] for cand in accepted]
+    assert [row.tolist() for row in judged[0]] == want
+    judged.clear()
+    assert generators._judge(ps, warm, k, moves[:3]) is None
+    assert judged == []  # every move rejected: nothing to judge

@@ -10,21 +10,20 @@ from localmatch.geometry import (
     DEFAULT_TOL,
     Disk,
     Point,
-    Segment,
     diameter_bound,
     diametral_disk,
     disks_intersect,
     distance,
     endpoint_bound,
     orientation,
-    segments_cross,
 )
+from segments import segments_cross
 
 SQRT3 = math.sqrt(3.0)
 
 
 def seg(ax, ay, bx, by):
-    return Segment(Point(ax, ay), Point(bx, by))
+    return Point(ax, ay), Point(bx, by)
 
 
 class TestPointAndTolerance:
@@ -33,10 +32,6 @@ class TestPointAndTolerance:
             Point(math.nan, 0.0)
         with pytest.raises(ValueError):
             Point(0.0, math.inf)
-
-    def test_degenerate_segment_rejected(self):
-        with pytest.raises(ValueError):
-            Segment(Point(1.0, 2.0), Point(1.0, 2.0))
 
     def test_disk_rejects_negative_radius(self):
         with pytest.raises(ValueError):
@@ -59,21 +54,21 @@ class TestDistance:
 
 class TestSegmentsCross:
     def test_x_shape(self):
-        assert segments_cross(seg(0, 0, 2, 2), seg(0, 2, 2, 0))
+        assert segments_cross(*seg(0, 0, 2, 2), *seg(0, 2, 2, 0))
 
     def test_disjoint_collinear(self):
-        assert not segments_cross(seg(0, 0, 1, 0), seg(2, 0, 3, 0))
+        assert not segments_cross(*seg(0, 0, 1, 0), *seg(2, 0, 3, 0))
 
     def test_endpoint_touching_interior(self):
         # The touching endpoint lies on the other segment, not across it:
         # both orientation tests on that side agree, so no proper crossing.
-        assert not segments_cross(seg(0, 0, 2, 0), seg(1, 0, 1, 5))
+        assert not segments_cross(*seg(0, 0, 2, 0), *seg(1, 0, 1, 5))
 
     def test_shared_endpoint(self):
-        assert not segments_cross(seg(0, 0, 1, 1), seg(0, 0, 1, -1))
+        assert not segments_cross(*seg(0, 0, 1, 1), *seg(0, 0, 1, -1))
 
     def test_collinear_overlap(self):
-        assert not segments_cross(seg(0, 0, 2, 0), seg(1, 0, 3, 0))
+        assert not segments_cross(*seg(0, 0, 2, 0), *seg(1, 0, 3, 0))
 
     def test_near_degenerate_orientation_is_exact(self):
         # Points off a line by one ulp still resolve to a nonzero sign.
@@ -90,21 +85,18 @@ class TestSegmentsCross:
     @settings(max_examples=300)
     def test_symmetry_and_rigid_invariance(self, coords):
         ax, ay, bx, by, cx, cy, dx, dy = coords
-        try:
-            s1 = seg(ax, ay, bx, by)
-            s2 = seg(cx, cy, dx, dy)
-        except ValueError:
-            return
-        crossed = segments_cross(s1, s2)
-        assert crossed == segments_cross(s2, s1)
-        assert crossed == segments_cross(
-            Segment(s1.b, s1.a), Segment(s2.b, s2.a)
-        )
+        a, b = seg(ax, ay, bx, by)
+        c, d = seg(cx, cy, dx, dy)
+        if a == b or c == d:
+            return  # no segment
+        crossed = segments_cross(a, b, c, d)
+        assert crossed == segments_cross(c, d, a, b)
+        assert crossed == segments_cross(b, a, d, c)
         orientations = [
-            orientation(s2.a, s2.b, s1.a),
-            orientation(s2.a, s2.b, s1.b),
-            orientation(s1.a, s1.b, s2.a),
-            orientation(s1.a, s1.b, s2.b),
+            orientation(c, d, a),
+            orientation(c, d, b),
+            orientation(a, b, c),
+            orientation(a, b, d),
         ]
         if 0 in orientations:
             return  # touching configurations are not rotation-stable
@@ -116,18 +108,16 @@ class TestSegmentsCross:
                 p.x * math.sin(theta) + p.y * math.cos(theta) + ty,
             )
 
-        moved1 = Segment(rigid(s1.a), rigid(s1.b))
-        moved2 = Segment(rigid(s2.a), rigid(s2.b))
-        assert segments_cross(moved1, moved2) == crossed
+        assert segments_cross(rigid(a), rigid(b), rigid(c), rigid(d)) == crossed
 
 
 class TestDiametralDisk:
     def test_examples(self):
-        d = diametral_disk(seg(-1, 0, 1, 0))
+        d = diametral_disk(*seg(-1, 0, 1, 0))
         assert d.center == Point(0, 0) and d.radius == 1.0
-        d = diametral_disk(seg(0, 0, 0, 4))
+        d = diametral_disk(*seg(0, 0, 0, 4))
         assert d.center == Point(0, 2) and d.radius == 2.0
-        d = diametral_disk(seg(1, 1, 4, 5))
+        d = diametral_disk(*seg(1, 1, 4, 5))
         assert d.center == Point(2.5, 3.0) and d.radius == 2.5
 
 

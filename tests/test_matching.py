@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from localmatch import matching
 from localmatch.generators import gen_circle_alternating, gen_random
@@ -332,7 +333,8 @@ class TestBatchedLocalSearch:
         sets = [gen_random(n, seed=seed) for seed in range(12)]
         init = Matching((2 * i, 2 * i + 1) for i in range(n // 2))
         D = np.array([ps._dist_array for ps in sets])
-        pairs, weights = matching._batch_k_local_search(D, init, k)
+        unknown = np.full((len(sets), math.comb(n // 2, k)), np.nan)
+        pairs, weights, _ = matching._batch_k_local_search(D, init, k, unknown)
         optimum = matching._batch_max_weight(D)
         swapped = 0
         for r, ps in enumerate(sets):
@@ -342,6 +344,52 @@ class TestBatchedLocalSearch:
             assert float(optimum[r]).hex() == weight(optimal_matching(ps), ps).hex()
             swapped += want != init
         assert swapped or k == 1
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_known_gaps_are_reused_and_hits_rescanned(self, k):
+        # The gaps of init's subsets, as a first scan finds them: passing
+        # them in, all or some, gives the result of scanning everything.  A
+        # known gap that is a hit (here +inf) is scanned again, not trusted.
+        sets = [gen_random(8, seed=100 + seed) for seed in range(16)]
+        init = Matching((2 * i, 2 * i + 1) for i in range(4))
+        D = np.array([ps._dist_array for ps in sets])
+        combos = matching._combos(4, k)
+        row, col = np.divmod(np.arange(len(sets) * len(combos)), len(combos))
+        edges = np.array(init.pairs)[combos[col]]
+        first, _, _ = matching._scan_rows(D, row, edges, np.full(len(sets), np.inf), "maximize")
+        first = first.reshape(len(sets), len(combos))
+        want = matching._batch_k_local_search(D, init, k, np.full_like(first, np.nan))
+        rng = np.random.default_rng(k)
+        for known in (first, np.where(rng.random(first.shape) < 0.5, np.nan, first),
+                      np.where(rng.random(first.shape) < 0.5, np.inf, first)):
+            got = matching._batch_k_local_search(D, init, k, known)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+        assert (want[0] != np.array(init.pairs)).any()  # some searches swap
+
+    @pytest.mark.parametrize("objective", ["maximize", "minimize"])
+    def test_chunked_scan_rows_equal_one_call(self, objective, monkeypatch):
+        # Chunks of one to a few rows split owners across chunk borders;
+        # each owner's first hit and its rematch stay those of one call.
+        sets = [gen_random(8, seed=300 + seed) for seed in range(12)]
+        init = Matching((2 * i, 2 * i + 1) for i in range(4))
+        D = np.array([ps._dist_array for ps in sets])
+        combos = matching._combos(4, 2)
+        row, col = np.divmod(np.arange(len(sets) * len(combos)), len(combos))
+        edges = np.array(init.pairs)[combos[col]]
+        limit = np.where(np.arange(len(sets)) % 3, 0.0, np.inf)  # every third owner never hits
+
+        def run():
+            scan = matching._scan_rows(D, row, edges, limit, objective)
+            return (*scan, matching._batch_max_weight(D))
+
+        want = run()
+        assert 0 < len(want[1]) < len(sets)  # some owners hit, not all
+        assert len(np.unique(row[want[1]])) == len(want[1])
+        for chunk in (1, 60, 150):
+            monkeypatch.setattr(matching, "_CHUNK", chunk)
+            for a, b in zip(run(), want):
+                assert a.tobytes() == b.tobytes()
 
 
 def scan(ps, m, k, objective, min_work, monkeypatch):
@@ -597,3 +645,60 @@ class TestRatioReport:
         ps = gen_random(8, seed=3)
         with pytest.raises(CapExceededError):
             ratio_report(ps, optimal_matching(ps), 2, cap=2)
+
+
+def locality_margin(ps, m, k):
+    """Largest gain of re-matching a k-subset of m optimally on its own
+    endpoints, relative to w(m); the scans flag a violation when it exceeds
+    eps_geom."""
+    gains = []
+    for subset in itertools.combinations(m.pairs, k):
+        ends = [i for pair in subset for i in pair]
+        sub = PointSet([ps[i] for i in ends])
+        gains.append(weight(optimal_matching(sub), sub) - sum(ps.dist[i][j] for i, j in subset))
+    return max(gains) / weight(m, ps)
+
+
+class TestMatchingLayerInvariance:
+    """Aim 3: rotating, scaling (1e-6 to 1e6), shifting and relabelling an
+    instance moves the oracle's weight by rounding only and changes no
+    locality verdict, for instances whose locality margin is well clear of
+    eps_geom (closer to it, a flip is rounding, not a defect)."""
+
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([6, 8, 10, 12]),
+        st.sampled_from([2, 3]),
+        st.floats(0.0, 2.0 * math.pi),
+        st.floats(-6.0, 6.0),
+        st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_verdicts_survive_similarity_and_relabelling(
+        self, seed, n, k, theta, exponent, shift, rnd
+    ):
+        ps = gen_random(n, seed=seed)
+        scale = 10.0**exponent
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        c, s = math.cos(theta), math.sin(theta)
+        moved = [None] * n
+        for i, p in enumerate(ps.points):
+            moved[perm[i]] = Point(
+                scale * (c * p.x - s * p.y + shift[0]), scale * (s * p.x + c * p.y + shift[1])
+            )
+        image = PointSet(moved)
+        want = weight(optimal_matching(ps), ps)
+        assert weight(optimal_matching(image), image) == pytest.approx(scale * want, rel=1e-9)
+        consecutive = Matching((2 * i, 2 * i + 1) for i in range(n // 2))
+        for m in (k_local_search(ps, k), greedy_matching(ps), consecutive):
+            margin = locality_margin(ps, m, k)
+            assume(not 1e-12 <= margin <= 1e-6)
+            relabelled = Matching((perm[i], perm[j]) for i, j in m.pairs)
+            local = is_k_local_max(ps, m, k).is_local_max
+            assert local == (margin <= 1e-12)
+            assert is_k_local_max(image, relabelled, k).is_local_max == local
+            before, after = ratio_report(ps, m, k), ratio_report(image, relabelled, k)
+            assert after.is_local_max == before.is_local_max == local
+            assert after.ratio == pytest.approx(before.ratio, rel=1e-9)
