@@ -504,6 +504,16 @@ def _chunk_rows(k: int) -> int:
     return max(1, _CHUNK // (k * k + _transitions(k)))
 
 
+def _gather(D: np.ndarray, owner: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``D[owner, i, j]``, broadcast over the rows of ``i`` and ``j``.  A
+    stack of one point set is indexed without the owners, which numpy
+    gathers faster (a clean 4-subset scan at 20 points took ~5 % longer
+    with them)."""
+    if len(D) == 1:
+        return D[0][i, j]
+    return D[owner.reshape(owner.shape + (1,) * (i.ndim - 1)), i, j]
+
+
 def _scan_rows(
     D: np.ndarray, owner: np.ndarray, edges: np.ndarray, limit: np.ndarray, objective: Objective
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -527,10 +537,9 @@ def _scan_rows(
     last = -1  # owner of the latest pick
     for lo in range(0, len(edges), step):
         e, o = edges[lo : lo + step], owner[lo : lo + step]
-        current = _sum_in_order(D[o[:, None], e[:, :, 0], e[:, :, 1]])
+        current = _sum_in_order(_gather(D, o, e[:, :, 0], e[:, :, 1]))
         rows = np.sort(e.reshape(len(e), 2 * k), axis=1)
-        local = D[o[:, None, None], rows[:, :, None], rows[:, None, :]]
-        opt, choices = _batch_optimal(local, objective)
+        opt, choices = _batch_optimal(_gather(D, o, rows[:, :, None], rows[:, None, :]), objective)
         g = gap[lo : lo + len(e)] = opt - current if objective == "maximize" else current - opt
         hits = np.flatnonzero(g > limit[o])
         if hits.size > 1:  # each owner's first hit
