@@ -544,10 +544,7 @@ def _scan_rows(
         hits = np.flatnonzero(g > limit[o])
         if hits.size > 1:  # each owner's first hit
             held = o[hits]
-            if held[0] == held[-1]:
-                hits = hits[:1]
-            else:
-                hits = hits[np.concatenate(([True], held[1:] != held[:-1]))]
+            hits = hits[np.concatenate(([True], held[1:] != held[:-1]))]
         if hits.size and o[hits[0]] == last:  # its owner's first was in an earlier chunk
             hits = hits[1:]
         if not hits.size:
@@ -558,8 +555,6 @@ def _scan_rows(
         else:
             rematch.append(_stack_pairs(rows, choices, hits))
         picks.append(lo + hits)
-    if len(picks) == 1:
-        return gap, picks[0], rematch[0]
     if not picks:
         return gap, np.empty(0, dtype=np.intp), np.empty((0, k, 2), dtype=np.intp)
     return gap, np.concatenate(picks), np.concatenate(rematch)
