@@ -499,6 +499,7 @@ def _scan_k_subsets(
 _CHUNK = 1 << 16
 
 
+@functools.cache
 def _chunk_rows(k: int) -> int:
     """Rows of k positions per ``_batch_optimal`` call on a large stack."""
     return max(1, _CHUNK // (k * k + _transitions(k)))
@@ -543,8 +544,11 @@ def _scan_rows(
         g = gap[lo : lo + len(e)] = opt - current if objective == "maximize" else current - opt
         hits = np.flatnonzero(g > limit[o])
         if hits.size > 1:  # each owner's first hit
-            held = o[hits]
-            hits = hits[np.concatenate(([True], held[1:] != held[:-1]))]
+            if o[0] == o[-1]:  # a chunk of one owner, as in a single set's scan
+                hits = hits[:1]
+            else:
+                held = o[hits]
+                hits = hits[np.concatenate(([True], held[1:] != held[:-1]))]
         if hits.size and o[hits[0]] == last:  # its owner's first was in an earlier chunk
             hits = hits[1:]
         if not hits.size:
@@ -555,6 +559,8 @@ def _scan_rows(
         else:
             rematch.append(_stack_pairs(rows, choices, hits))
         picks.append(lo + hits)
+    if len(picks) == 1:
+        return gap, picks[0], rematch[0]
     if not picks:
         return gap, np.empty(0, dtype=np.intp), np.empty((0, k, 2), dtype=np.intp)
     return gap, np.concatenate(picks), np.concatenate(rematch)

@@ -386,8 +386,8 @@ class TestBatchedLocalSearch:
         want = run()
         assert 0 < len(want[1]) < len(sets)  # some owners hit, not all
         assert len(np.unique(row[want[1]])) == len(want[1])
-        for chunk in (1, 60, 150):
-            monkeypatch.setattr(matching, "_CHUNK", chunk)
+        for rows in (1, 2, 5):
+            monkeypatch.setattr(matching, "_chunk_rows", lambda k: rows)
             for a, b in zip(run(), want):
                 assert a.tobytes() == b.tobytes()
 
