@@ -493,9 +493,10 @@ def _scan_k_subsets(
 
 # Floats of work per _batch_optimal call on a stack (``_chunk_rows``): a
 # row of k positions costs its (k, k) distances plus its recurrence's
-# transitions.  This bounds the temporaries of a large look-ahead block (a
-# 2,048-candidate block at n = 8, k = 3 peaked at 8.7 MB traced when its
-# scan and its oracles ran as one call each); smaller stacks run as one call.
+# transitions.  This bounds the temporaries of a large look-ahead block: a
+# 2,048-candidate block at n = 8, k = 3 peaks at 3.7 MB traced, against
+# 8.7 MB when its scan and its oracles ran as one call each.  Smaller
+# stacks run as one call.
 _CHUNK = 1 << 16
 
 
@@ -508,8 +509,8 @@ def _chunk_rows(k: int) -> int:
 def _gather(D: np.ndarray, owner: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """``D[owner, i, j]``, broadcast over the rows of ``i`` and ``j``.  A
     stack of one point set is indexed without the owners, which numpy
-    gathers faster (a clean 4-subset scan at 20 points took ~5 % longer
-    with them)."""
+    gathers faster: with them a clean 4-subset scan at 20 points took ~5 %
+    longer (shared 2-core 2.1 GHz Xeon VM, numpy 2.4)."""
     if len(D) == 1:
         return D[0][i, j]
     return D[owner.reshape(owner.shape + (1,) * (i.ndim - 1)), i, j]
