@@ -126,8 +126,9 @@ def halfplane_balance(ps: PointSet, m: Matching) -> bool:
 def find_pairwise_crossing(ps: PointSet) -> tuple[Optional[Matching], int]:
     """Find every pairwise crossing perfect matching by exact backtracking.
 
-    Returns the first one in the order of ``enumerate_matchings`` (None if
-    none exists) and the total count, which the uniqueness theorem predicts
+    Returns the first one in the order of ``enumerate_matchings`` (lowest
+    free index paired first, partners ascending; None if none exists) and
+    the total count, which the uniqueness theorem predicts
     to be 0 or 1. Every edge of a crossing matching is crossed by all the
     others, so it is a halving edge: (n - 2) / 2 points lie on each side.
     The search therefore pairs the lowest free point only with its halving

