@@ -694,7 +694,7 @@ def certify(
             f"times length scale {witness.scale:.3e} for kind {kind}"
         )
     c = witness.point
-    edge_tol = DEFAULT_TOL.eps_opt * max(map(max, ps.dist))
+    edge_tol = DEFAULT_TOL.eps_opt * ps.diameter
     checks = []
     for i, j in m.pairs:
         lhs = distance(c, ps[i]) + distance(c, ps[j])

@@ -72,18 +72,31 @@ def _coincide(shortest, longest):
 
 @dataclass(frozen=True)
 class PointSet:
-    """Points no two of which lie within eps_geom times the set's diameter."""
+    """Points no two of which lie within eps_geom times the set's diameter.
+
+    A point set is immutable, so each value derived from it is computed
+    once and kept for its life: ``coords`` and ``diameter`` (with the
+    coincidence check), the distances ``dist`` and ``_dist_array`` (on
+    first use), and in ``_memo`` the verdict of each k-subset scan
+    (``_scan``) and the oracle's optimum per objective
+    (``optimal_matching``).
+    """
 
     points: tuple[Point, ...]
 
     def __init__(self, points: Sequence[Point]):
         pts = tuple(points)
-        gaps = [math.hypot(a.x - b.x, a.y - b.y) for a, b in itertools.combinations(pts, 2)]
-        if gaps and _coincide(min(gaps), longest := max(gaps)):
+        coords = tuple([p.as_tuple() for p in pts])
+        # Pairs (i, j), i < j, in row order: the upper triangle of ``dist``.
+        gaps = [math.dist(a, b) for a, b in itertools.combinations(coords, 2)]
+        diameter = max(gaps, default=0.0)
+        if gaps and _coincide(min(gaps), diameter):
             pairs = itertools.combinations(range(len(pts)), 2)
-            i, j = next(pair for pair, gap in zip(pairs, gaps) if _coincide(gap, longest))
+            i, j = next(pair for pair, gap in zip(pairs, gaps) if _coincide(gap, diameter))
             raise ValueError(f"points {i} and {j} coincide: {pts[i]} ~ {pts[j]}")
-        object.__setattr__(self, "points", pts)
+        # One update of the instance dict, which a frozen dataclass allows:
+        # cheaper than an object.__setattr__ call per attribute.
+        vars(self).update(points=pts, coords=coords, diameter=diameter, _gaps=gaps)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -92,14 +105,18 @@ class PointSet:
         return self.points[i]
 
     @cached_property
-    def coords(self) -> tuple[tuple[float, float], ...]:
-        return tuple(p.as_tuple() for p in self.points)
-
-    @cached_property
     def dist(self) -> tuple[tuple[float, ...], ...]:
-        """Dense pairwise distance matrix."""
-        cs = self.coords
-        return tuple(tuple(math.dist(a, b) for b in cs) for a in cs)
+        """Dense pairwise distance matrix: the coincidence check's gaps
+        mirrored about a 0.0 diagonal, so ``dist[i][j]`` is
+        ``math.dist(coords[i], coords[j])``.  Built on first use (some
+        callers never read it), after which the gaps are dropped."""
+        n = len(self.points)
+        rows = [[0.0] * n for _ in range(n)]
+        gaps = iter(self.__dict__.pop("_gaps"))
+        for i, row in enumerate(rows):
+            for j in range(i + 1, n):
+                row[j] = rows[j][i] = next(gaps)
+        return tuple(map(tuple, rows))
 
     @cached_property
     def _dist_array(self) -> np.ndarray:
@@ -107,6 +124,13 @@ class PointSet:
         d = np.array(self.dist, dtype=np.float64).reshape(len(self.points), len(self.points))
         d.flags.writeable = False
         return d
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Values derived on this set: ``_scan``'s verdicts keyed by
+        ``(pairs, k, objective)`` and ``optimal_matching``'s optima keyed
+        by objective."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -404,7 +428,9 @@ def optimal_matching(
     Small instances run the scalar memo ``_dp_optimal``, larger ones the
     batched level-by-level form ``_batch_optimal``; both return the same
     pairs, ties included.  Limited to 2*cap points (default 26) to bound
-    time and memory, which grow about 2.8x per added pair.
+    time and memory, which grow about 2.8x per added pair.  The optimum is
+    solved once per point set and objective and kept on the point set;
+    the checks, the cap's included, run on every call.
     """
     n = len(ps)
     if n % 2:
@@ -413,10 +439,14 @@ def optimal_matching(
         raise CapExceededError(f"{n} points exceeds the oracle cap of {2 * cap}")
     if objective not in ("maximize", "minimize"):
         raise ValueError(f"unknown objective {objective!r}")
-    if not _batched(1, n):
-        return Matching(_dp_optimal(ps.dist, range(n), objective)[1])
-    _, choices = _batch_optimal(ps._dist_array[None], objective)
-    return Matching(_batch_pairs(np.arange(n)[None, :], choices, 0))
+    memo = ps._memo
+    if objective not in memo:
+        if not _batched(1, n):
+            memo[objective] = Matching(_dp_optimal(ps.dist, range(n), objective)[1])
+        else:
+            _, choices = _batch_optimal(ps._dist_array[None], objective)
+            memo[objective] = Matching(_batch_pairs(np.arange(n)[None, :], choices, 0))
+    return memo[objective]
 
 
 def enumerate_matchings(ps: PointSet) -> Iterator[Matching]:
@@ -609,11 +639,23 @@ def _scan_batched(
     return None
 
 
+def _scan(
+    ps: PointSet, m: Matching, k: int, objective: Objective
+) -> Optional[tuple[tuple[Pair, ...], tuple[Pair, ...]]]:
+    """``_scan_k_subsets(ps, m, k, objective)``, run once per point set and
+    key and kept in ``ps._memo``.  Callers check `m` and `k` first."""
+    key = (m.pairs, k, objective)
+    memo = ps._memo
+    if key not in memo:
+        memo[key] = _scan_k_subsets(ps, m, k, objective)
+    return memo[key]
+
+
 def _is_k_local(ps: PointSet, m: Matching, k: int, objective: Objective) -> RatioReport:
     _check_perfect(m, ps)
     if not (1 <= k <= len(m)):
         raise ValueError(f"k must lie in [1, {len(m)}], got {k}")
-    violation = _scan_k_subsets(ps, m, k, objective)
+    violation = _scan(ps, m, k, objective)
     return RatioReport(
         weight_local=weight(m, ps),
         weight_global=None,
@@ -645,13 +687,11 @@ def greedy_matching(ps: PointSet) -> Matching:
     if n % 2:
         raise ValueError(f"point set has odd cardinality {n}")
     dist = ps.dist
-    edges = sorted(
-        ((i, j) for i in range(n) for j in range(i + 1, n)),
-        key=lambda e: (-dist[e[0]][e[1]], e),
-    )
+    # Longest first, ties by (i, j): plain tuples sort faster than a key.
+    edges = sorted((-dist[i][j], i, j) for i in range(n) for j in range(i + 1, n))
     used: set[int] = set()
     pairs: list[Pair] = []
-    for i, j in edges:
+    for _, i, j in edges:
         if i in used or j in used:
             continue
         pairs.append((i, j))
@@ -683,7 +723,7 @@ def k_local_search(ps: PointSet, k: int, init: Optional[Matching] = None) -> Mat
         return m
     k_eff = min(k, len(m))
     while True:
-        violation = _scan_k_subsets(ps, m, k_eff, "maximize")
+        violation = _scan(ps, m, k_eff, "maximize")
         if violation is None:
             return m
         subset, replacement = violation

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from localmatch import matching
+from localmatch.certificates import certify
 from localmatch.generators import gen_circle_alternating, gen_random
 from localmatch.geometry import Point
 from localmatch.matching import (
@@ -40,6 +41,15 @@ def regular_polygon(n):
     )
 
 
+def similar_image(points, theta, exponent, shift):
+    """`points` rotated by theta, shifted and scaled by 10**exponent."""
+    c, s, scale = math.cos(theta), math.sin(theta), 10.0**exponent
+    return [
+        Point(scale * (c * p.x - s * p.y + shift[0]), scale * (s * p.x + c * p.y + shift[1]))
+        for p in points
+    ]
+
+
 def brute_force_weight(ps, objective="maximize"):
     pick = max if objective == "maximize" else min
     return pick(weight(m, ps) for m in enumerate_matchings(ps))
@@ -62,6 +72,53 @@ class TestPointSet:
         ps = unit_square()
         assert ps.dist[0][2] == pytest.approx(SQRT2)
         assert ps.dist[1][1] == 0.0
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 14),
+        st.floats(0.0, 2.0 * math.pi),
+        st.floats(-6.0, 6.0),
+        st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_distances_are_the_coincidence_checks_gaps(self, seed, n, theta, exponent, shift):
+        ps = PointSet(similar_image(gen_random(14, seed=seed).points[:n], theta, exponent, shift))
+        assert "dist" not in ps.__dict__  # built on first use only
+        cs = ps.coords
+        for i, row in enumerate(ps.dist):
+            assert [d.hex() for d in row] == [math.dist(cs[i], c).hex() for c in cs]
+            assert row[i] == 0.0
+            assert all(row[j] == ps.dist[j][i] for j in range(n))
+        assert "_gaps" not in ps.__dict__
+        assert ps.diameter == max(map(max, ps.dist))
+        assert ps._dist_array.tolist() == [list(row) for row in ps.dist]
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(4, 14),
+        st.floats(0.0, 2.0 * math.pi),
+        st.floats(-6.0, 6.0),
+        st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_coincidence_error_unchanged(self, seed, n, theta, exponent, shift, rnd):
+        # One or two points copied onto others, or moved within eps_geom of
+        # them: the message names the first pair that math.hypot gaps flag.
+        points = similar_image(gen_random(14, seed=seed).points[:n], theta, exponent, shift)
+        scale = max(math.dist(p.as_tuple(), q.as_tuple()) for p in points for q in points)
+        chosen = rnd.sample(range(n), 4)
+        for i, j in zip(chosen[: rnd.choice([2, 4]) : 2], chosen[1::2]):
+            nudge = 1e-11 * scale * rnd.randint(0, 1)
+            points[j] = Point(points[i].x + nudge, points[i].y)
+        pairs = list(itertools.combinations(range(n), 2))
+        gaps = [math.hypot(points[a].x - points[b].x, points[a].y - points[b].y) for a, b in pairs]
+        flagged = [pair for pair, gap in zip(pairs, gaps) if gap <= 1e-9 * max(gaps)]
+        assume(flagged)  # a moved twin may stay clear of a shrunken diameter
+        a, b = flagged[0]
+        with pytest.raises(ValueError) as raised:
+            PointSet(points)
+        assert str(raised.value) == f"points {a} and {b} coincide: {points[a]} ~ {points[b]}"
 
 
 class TestMatchingType:
@@ -609,6 +666,20 @@ class TestKLocalSearch:
                 enumerate_matchings(ps), key=lambda m: weight(m, ps)
             )).pairs
 
+    def test_greedy_takes_longest_edge_first_ties_by_index(self):
+        # Grids and regular polygons have many equal lengths.
+        grid = PointSet([Point(x, y) for x in range(3) for y in range(4)])
+        kite = PointSet([Point(0, 0), Point(1, 0), Point(2, 0), Point(1, 5)])  # (0, 3) ties (2, 3)
+        for ps in (unit_square(), kite, regular_polygon(8), grid, gen_random(12, seed=1700)):
+            n, dist = len(ps), ps.dist
+            edges = sorted(itertools.combinations(range(n), 2), key=lambda e: (-dist[e[0]][e[1]], e))
+            want, used = [], set()
+            for i, j in edges:
+                if not used & {i, j}:
+                    want.append((i, j))
+                    used |= {i, j}
+            assert greedy_matching(ps).pairs == tuple(sorted(want))
+
     def test_greedy_init_is_half_approximation(self):
         for seed in range(20):
             ps = gen_random(8, seed=1600 + seed)
@@ -690,6 +761,94 @@ class TestRatioReport:
             ratio_report(ps, optimal_matching(ps), 2, cap=2)
 
 
+def count_solves(monkeypatch, n):
+    """Records the oracle's solves on all n points (by objective) and the
+    k-subset scans (by pairs, k and objective) from here on."""
+    oracle, scans = [], []
+    dp, batch, scan_k = matching._dp_optimal, matching._batch_optimal, matching._scan_k_subsets
+
+    def counted_dp(dist, indices, objective):
+        if len(indices) == n:
+            oracle.append(objective)
+        return dp(dist, indices, objective)
+
+    def counted_batch(local, objective):
+        if local.shape[1] == n:
+            oracle.append(objective)
+        return batch(local, objective)
+
+    def counted_scan(ps, m, k, objective):
+        scans.append((m.pairs, k, objective))
+        return scan_k(ps, m, k, objective)
+
+    monkeypatch.setattr(matching, "_dp_optimal", counted_dp)
+    monkeypatch.setattr(matching, "_batch_optimal", counted_batch)
+    monkeypatch.setattr(matching, "_scan_k_subsets", counted_scan)
+    return oracle, scans
+
+
+class TestDerivedOnce:
+    """A point set keeps its oracle optima and scan verdicts: each is
+    computed once, equals a fresh point set's, and the argument checks
+    still run on every call."""
+
+    @pytest.mark.parametrize("n", [8, 10])  # the oracle's scalar and batched paths
+    def test_certificate_chain_scans_and_solves_once(self, n, monkeypatch):
+        ps = gen_random(n, seed=2100 + n)
+        oracle, scans = count_solves(monkeypatch, n)
+        m = k_local_search(ps, 3)
+        assert is_k_local_max(ps, m, 3).is_local_max
+        certs = [certify(ps, m, kind) for kind in ("local3_sqrt2", "local3_fingerhut")]
+        assert scans.count((m.pairs, 3, "maximize")) == 1
+        assert len(set(scans)) == len(scans)
+        assert oracle == ["maximize"]
+        fresh = PointSet(ps.points)
+        assert certs == [certify(fresh, m, kind) for kind in ("local3_sqrt2", "local3_fingerhut")]
+        assert oracle == ["maximize"] * 2
+
+    def test_memoised_verdicts_equal_fresh_ones(self):
+        violations = {"maximize": 0, "minimize": 0}
+        for seed in range(6):
+            ps = gen_random(10, seed=2200 + seed)
+            consecutive = Matching((2 * i, 2 * i + 1) for i in range(5))
+            for m in (greedy_matching(ps), k_local_search(ps, 2), consecutive,
+                      optimal_matching(ps, "minimize")):
+                for k in (1, 2, 3):
+                    for objective, check in (("maximize", is_k_local_max), ("minimize", is_k_local_min)):
+                        first, again = check(ps, m, k), check(ps, m, k)
+                        assert first == again == check(PointSet(ps.points), m, k)
+                        violations[objective] += not first.is_local_max
+                assert ratio_report(ps, m, 2) == ratio_report(PointSet(ps.points), m, 2)
+            assert optimal_matching(ps) is optimal_matching(ps)
+        assert all(violations.values())
+
+    def test_cap_is_checked_after_a_cached_optimum(self):
+        ps = gen_random(10, seed=2300)
+        optimal_matching(ps)
+        with pytest.raises(CapExceededError):
+            optimal_matching(ps, cap=len(ps) // 2 - 1)
+        with pytest.raises(CapExceededError):
+            ratio_report(ps, k_local_search(ps, 2), 2, cap=len(ps) // 2 - 1)
+        with pytest.raises(ValueError, match="objective"):
+            optimal_matching(ps, "maximise")
+
+    def test_arguments_are_checked_after_a_cached_verdict(self):
+        ps = gen_random(8, seed=2400)
+        m = k_local_search(ps, 4)  # caches the 4-subset scan of its result
+        assert is_k_local_max(ps, m, 2).is_local_max
+        for k in (0, 5):
+            with pytest.raises(ValueError, match="k must lie"):
+                is_k_local_max(ps, m, k)
+        partial = Matching(m.pairs[1:])
+        for check in (is_k_local_max, is_k_local_min):
+            with pytest.raises(ValueError, match="cover every point"):
+                check(ps, partial, 2)
+        with pytest.raises(IndexError):
+            is_k_local_max(ps, Matching(m.pairs[1:] + ((m.pairs[0][0], 8),)), 2)
+        with pytest.raises(ValueError, match="cover every point"):
+            k_local_search(ps, 2, init=partial)
+
+
 def locality_margin(ps, m, k):
     """Largest gain of re-matching a k-subset of m optimally on its own
     endpoints, relative to w(m); the scans flag a violation when it exceeds
@@ -725,12 +884,9 @@ class TestMatchingLayerInvariance:
         scale = 10.0**exponent
         perm = list(range(n))
         rnd.shuffle(perm)
-        c, s = math.cos(theta), math.sin(theta)
         moved = [None] * n
-        for i, p in enumerate(ps.points):
-            moved[perm[i]] = Point(
-                scale * (c * p.x - s * p.y + shift[0]), scale * (s * p.x + c * p.y + shift[1])
-            )
+        for i, p in enumerate(similar_image(ps.points, theta, exponent, shift)):
+            moved[perm[i]] = p
         image = PointSet(moved)
         want = weight(optimal_matching(ps), ps)
         assert weight(optimal_matching(image), image) == pytest.approx(scale * want, rel=1e-9)
