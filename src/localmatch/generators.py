@@ -239,15 +239,19 @@ class _WarmStart(NamedTuple):
 
 
 def _search_ratios(
-    D: np.ndarray, init: Matching, k: int, gaps: np.ndarray
+    D: np.ndarray, init: Matching, k: int, gaps: np.ndarray, incumbent: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``k_local_search`` from `init` on each point set of the stack D
     (B, n, n), with the subset gaps already known (``gaps``, NaN where
     not), and ``weight(m) / weight(optimal_matching)``: the local pairs,
-    the last round's gaps and the ratios, bit for bit those of one set at
-    a time."""
-    pairs, w_local, gaps = _batch_k_local_search(D, init, k, gaps)
-    return pairs, gaps, w_local / _batch_max_weight(D)
+    the last round's gaps and the ratios.  The optima come first, so the
+    search can drop each set whose ratio cannot fall below `incumbent`
+    (``_batch_k_local_search``); every ratio below `incumbent`, with its
+    pairs and gaps, is bit for bit that of one set at a time, and every
+    other ratio is at least `incumbent`."""
+    optimum = _batch_max_weight(D)
+    pairs, w_local, gaps = _batch_k_local_search(D, init, k, gaps, optimum, incumbent)
+    return pairs, gaps, w_local / optimum
 
 
 def _moved_dists(ps: PointSet, moves: list[tuple[int, tuple[float, float]]]) -> np.ndarray:
@@ -280,6 +284,13 @@ def _judge(
     matching.  A candidate's subsets that do not hold the moved point's
     edge keep their distances, so their gaps are the ones the warm start's
     clean scan found; only the others are scanned in the first round.
+
+    The block's optima are solved before the search, and a candidate stops
+    searching in the first round whose ``weight / optimum`` is at least the
+    warm start's ratio (most do before any scan, from the warm matching's
+    weight alone).  The local search only raises the weight, so a stopped
+    candidate could not have won, and the winner's search, pairs, gaps and
+    ratio are computed as without the bound.
     """
     n = len(ps)
     D = _moved_dists(ps, moves)
@@ -294,7 +305,8 @@ def _judge(
     edge_of[np.array(warm.matching.pairs).ravel()] = np.arange(n // 2).repeat(2)
     moved_edge = edge_of[[moves[pos][0] for pos in kept]]
     holds = (_combos(n // 2, k)[None] == moved_edge[:, None, None]).any(axis=2)  # (B, C)
-    pairs, gaps, ratios = _search_ratios(D, warm.matching, k, np.where(holds, np.nan, warm.gaps))
+    known = np.where(holds, np.nan, warm.gaps)
+    pairs, gaps, ratios = _search_ratios(D, warm.matching, k, known, warm.ratio)
     better = np.flatnonzero(ratios < warm.ratio)
     if not better.size:
         return None
@@ -333,6 +345,14 @@ def mine_low_ratio(cfg: MinerConfig, progress=None) -> MinedInstance:
     (``_BATCH_MIN_WORK`` transitions), grow 4x while nothing is accepted,
     start over after an accept, and never exceed the work of one oracle
     call at ``DEFAULT_ORACLE_CAP``.
+
+    A block's searches are bounded by the current ratio: a candidate whose
+    ``weight / optimum`` already reaches it, at the warm matching or after
+    any swap, stops searching.  Each swap raises the weight by more than
+    eps_geom times itself, far above the sum's rounding, so its finished
+    ratio could not have been lower and the mined results are unchanged
+    bit for bit.  A restart's first search runs unbounded (an incumbent of
+    infinity) on the same path.
     """
     n, k = cfg.num_points, cfg.k
     work = _transitions(n) + math.comb(n // 2, k) * _transitions(2 * k)  # oracle + full scan
@@ -344,7 +364,8 @@ def mine_low_ratio(cfg: MinerConfig, progress=None) -> MinedInstance:
         rng = np.random.default_rng([cfg.seed, restart])
         ps = _random_points(rng, n)
         unknown = np.full((1, math.comb(n // 2, k)), np.nan)
-        pairs, gaps, ratios = _search_ratios(ps._dist_array[None], greedy_matching(ps), k, unknown)
+        D = ps._dist_array[None]
+        pairs, gaps, ratios = _search_ratios(D, greedy_matching(ps), k, unknown, math.inf)
         warm = _WarmStart(Matching(pairs[0].tolist()), float(ratios[0]), gaps[0])
         accepted = 0
         draws: list[tuple[int, float]] = []  # (coordinate, z) not yet judged

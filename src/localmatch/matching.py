@@ -397,11 +397,13 @@ def _stack_pairs(rows: np.ndarray, choices: list[np.ndarray], picks: np.ndarray)
 # greedy on random sets (n = 8-16, k = 2-4), 300 was the fastest or within
 # ~10 % of the fastest of 60, 120, 300, 600, 1200 and "never batch".  The
 # miner's single calls are smaller (at most 104 transitions), so it judges
-# its candidates in blocks of at least this much work: one ``_scan_rows``
-# call per search round (the first round holds only the subsets with the
-# moved point's edge) and one batched call for the block's oracles, each
-# split into chunks of ``_chunk_rows`` on large blocks.  Shared 2-core
-# 2.1 GHz Xeon VM, Python 3.11, numpy 2.4.
+# its candidates in blocks of at least this much work: one batched call for
+# the block's oracles, then one ``_scan_rows`` call per search round (the
+# first round holds only the subsets with the moved point's edge) over the
+# candidates that can still lower the ratio, each split into chunks of
+# ``_chunk_rows`` on large blocks; criterion 8's two configurations take
+# 0.9-1.9 s and 0.65-1.0 s.  Shared 2-core 2.1 GHz Xeon VM, Python 3.11,
+# numpy 2.4.
 _BATCH_MIN_WORK = 300
 
 
@@ -742,7 +744,12 @@ def _combos(edges: int, k: int) -> np.ndarray:
 
 
 def _batch_k_local_search(
-    D: np.ndarray, init: Matching, k: int, gaps: np.ndarray
+    D: np.ndarray,
+    init: Matching,
+    k: int,
+    gaps: np.ndarray,
+    optimum: np.ndarray,
+    incumbent: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``k_local_search`` from `init` on each point set of a stack, in
     lockstep.
@@ -758,6 +765,18 @@ def _batch_k_local_search(
     (B, n // 2, 2) pairs, sorted as ``Matching`` stores them, their (B,)
     weights as ``weight`` sums them, and the (B, C) gaps of each row's
     last, clean round.
+
+    Rows that cannot beat the ratio ``incumbent`` are dropped (the bound of
+    branch and bound).  Each round, once a row's weight is summed, the row
+    stops if ``weight / optimum >= incumbent``, where ``optimum`` (B,)
+    holds each row's ``weight(optimal_matching)``; its pairs, weight and
+    gaps stay those of that round.  This is exact: a swap raises the weight
+    by more than eps_geom times itself, about 1e6 times the rounding of the
+    sum, so a dropped row's finished search would also end at a ratio of at
+    least `incumbent`, by the same float division.  A row that ends
+    undropped ran every round as without the bound (``_scan_rows`` judges
+    each owner's rows alone), so its result is unchanged bit for bit, and
+    its ratio is below `incumbent`.  ``incumbent = inf`` drops nothing.
     """
     b, n, _ = D.shape
     combos = _combos(n // 2, k)
@@ -770,6 +789,10 @@ def _batch_k_local_search(
         held = pairs[active]
         lengths = D[active[:, None], held[:, :, 0], held[:, :, 1]]  # (a, n // 2)
         weights[active] = total = _sum_in_order(lengths)
+        alive = total / optimum[active] < incumbent
+        active, held, total = active[alive], held[alive], total[alive]
+        if not active.size:
+            break
         limit[active] = DEFAULT_TOL.eps_geom * total
         known = gaps[active]
         row, col = np.nonzero(~(known <= limit[active][:, None]))  # unknown or a hit

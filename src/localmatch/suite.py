@@ -303,8 +303,8 @@ def pairwise_crossing(scale: int) -> Verdict:
 
 def upper_bound_mining(scale: int) -> Verdict:
     # The targets are existence claims reproduced by bounded heuristic search, so
-    # a missed target is soft. Budgets fit 600 s per configuration at ~0.02-0.04 ms per
-    # iteration (k = 2: 96,000 iterations in ~2-2.5 s; k = 3: 40,000 in ~1.3-1.5 s).
+    # a missed target is soft. Budgets fit 600 s per configuration at ~0.01-0.025 ms per
+    # iteration (k = 2: 96,000 iterations in ~0.9-1.9 s; k = 3: 40,000 in ~0.65-1.0 s).
     checks: dict[str, bool] = {}
     soft: dict[str, bool] = {}
     details = []

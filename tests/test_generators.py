@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from localmatch import generators
+from localmatch import generators, matching
 from localmatch.certificates import ENLARGEMENT_FACTOR, common_point
 from localmatch.generators import (
     LOWER_BOUNDS,
@@ -29,6 +29,7 @@ from localmatch.matching import (
     greedy_matching,
     is_k_local_max,
     is_k_local_min,
+    k_local_search,
     optimal_matching,
     weight,
 )
@@ -214,6 +215,10 @@ def test_miner_matches_recorded_runs(golden):
     # every progress call bit for bit.  The configurations cover k = 1-3 at
     # 6, 8 and 12 points, restarts with accepts, warm-started searches that
     # swap, and (k = 1) a restart past 100 accepts, where the scale anneals.
+    # The last two (k = 2 at 6 points over 4,000 iterations, k = 3 at 8 over
+    # 2,500) were recorded from the look-ahead miner before its searches
+    # were bounded by the current ratio: their late accepts follow swaps,
+    # the case that dropping rows mid-search prunes.
     calls = []
     mined = mine_low_ratio(
         MinerConfig(**golden["config"]),
@@ -283,11 +288,11 @@ def test_judge_skips_exactly_the_moves_point_set_rejects(scale, monkeypatch):
     k = 2
     unknown = np.full((1, math.comb(3, k)), np.nan)
     D = ps._dist_array[None]
-    pairs, gaps, ratios = generators._search_ratios(D, greedy_matching(ps), k, unknown)
+    pairs, gaps, ratios = generators._search_ratios(D, greedy_matching(ps), k, unknown, math.inf)
     warm = generators._WarmStart(Matching(pairs[0].tolist()), float(ratios[0]), gaps[0])
     judged = []
 
-    def record(D, init, k, gaps):
+    def record(D, init, k, gaps, incumbent):
         judged.append(D.copy())
         return None, None, np.full(len(D), np.inf)  # no candidate wins
 
@@ -298,3 +303,61 @@ def test_judge_skips_exactly_the_moves_point_set_rejects(scale, monkeypatch):
     judged.clear()
     assert generators._judge(ps, warm, k, moves[:3]) is None
     assert judged == []  # every move rejected: nothing to judge
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_judge_equals_judging_each_move_alone(k):
+    # The bounded lockstep verdict against its definition: each move alone
+    # becomes a PointSet (skipped if rejected), is searched with
+    # k_local_search from the warm matching, and wins if its ratio is below
+    # the warm start's.  The warm starts are mined sets, some on the 1.0
+    # plateau, and small moves give blocks with a winner past their first
+    # candidate and blocks without one.  The winner's gaps are those of a
+    # clean scan of its matching.
+    outcomes = set()
+    for seed in range(4):
+        mined = mine_low_ratio(MinerConfig(k, 8, 1000, restarts=1, step_scale=0.15, seed=seed))
+        ps = mined.point_set
+        unknown = np.full((1, math.comb(4, k)), np.nan)
+        D = ps._dist_array[None]
+        pairs, gaps, ratios = generators._search_ratios(
+            D, mined.local_matching, k, unknown, math.inf
+        )
+        warm = generators._WarmStart(Matching(pairs[0].tolist()), float(ratios[0]), gaps[0])
+        assert warm.ratio == mined.ratio
+        rng = np.random.default_rng([k, seed])
+        moves = []
+        for _ in range(24):
+            i, (dx, dy) = int(rng.integers(8)), 0.01 * rng.standard_normal(2)
+            moves.append((i, (ps[i].x + dx, ps[i].y + dy)))
+        want = None
+        for pos, (i, (x, y)) in enumerate(moves):
+            points = list(ps.points)
+            points[i] = Point(x, y)
+            cand = PointSet(points)
+            m = k_local_search(cand, k, warm.matching)
+            ratio = weight(m, cand) / weight(optimal_matching(cand), cand)
+            if ratio < warm.ratio:
+                want = pos, cand, m, ratio
+                break
+        verdict = generators._judge(ps, warm, k, moves)
+        if want is None:
+            assert verdict is None
+            outcomes.add(None)
+            continue
+        pos, cand, m, ratio = want
+        outcomes.add(pos > 0)
+        assert verdict[0] == pos
+        assert [[p.x.hex(), p.y.hex()] for p in verdict[1].points] == [
+            [p.x.hex(), p.y.hex()] for p in cand.points
+        ]
+        assert verdict[2].matching == m
+        assert verdict[2].ratio.hex() == ratio.hex()
+        combos = matching._combos(4, k)
+        clean, picks, _ = matching._scan_rows(
+            cand._dist_array[None], np.zeros(len(combos), dtype=np.intp),
+            np.array(m.pairs)[combos], np.array([np.inf]), "maximize",
+        )
+        assert not picks.size
+        assert verdict[2].gaps.tobytes() == clean.tobytes()
+    assert {None, True} <= outcomes

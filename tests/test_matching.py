@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from localmatch import matching
 from localmatch.certificates import certify
-from localmatch.generators import gen_circle_alternating, gen_random
+from localmatch.generators import MinerConfig, gen_circle_alternating, gen_random, mine_low_ratio
 from localmatch.geometry import Point
 from localmatch.matching import (
     CapExceededError,
@@ -48,6 +48,19 @@ def similar_image(points, theta, exponent, shift):
         Point(scale * (c * p.x - s * p.y + shift[0]), scale * (s * p.x + c * p.y + shift[1]))
         for p in points
     ]
+
+
+def perturbed(base, rng, count, scale):
+    """`count` point sets, each `base` with one point moved by Gaussian
+    noise of the given scale."""
+    sets = []
+    while len(sets) < count:
+        points = list(base.points)
+        i = int(rng.integers(len(points)))
+        dx, dy = scale * rng.standard_normal(2)
+        points[i] = Point(points[i].x + dx, points[i].y + dy)
+        sets.append(PointSet(points))
+    return sets
 
 
 def brute_force_weight(ps, objective="maximize"):
@@ -405,8 +418,8 @@ class TestBatchedLocalSearch:
         init = Matching((2 * i, 2 * i + 1) for i in range(n // 2))
         D = np.array([ps._dist_array for ps in sets])
         unknown = np.full((len(sets), math.comb(n // 2, k)), np.nan)
-        pairs, weights, _ = matching._batch_k_local_search(D, init, k, unknown)
         optimum = matching._batch_max_weight(D)
+        pairs, weights, _ = matching._batch_k_local_search(D, init, k, unknown, optimum, math.inf)
         swapped = 0
         for r, ps in enumerate(sets):
             want = k_local_search(ps, k, init)
@@ -429,14 +442,71 @@ class TestBatchedLocalSearch:
         edges = np.array(init.pairs)[combos[col]]
         first, _, _ = matching._scan_rows(D, row, edges, np.full(len(sets), np.inf), "maximize")
         first = first.reshape(len(sets), len(combos))
-        want = matching._batch_k_local_search(D, init, k, np.full_like(first, np.nan))
+        optimum = matching._batch_max_weight(D)
+        unknown = np.full_like(first, np.nan)
+        want = matching._batch_k_local_search(D, init, k, unknown, optimum, math.inf)
         rng = np.random.default_rng(k)
         for known in (first, np.where(rng.random(first.shape) < 0.5, np.nan, first),
                       np.where(rng.random(first.shape) < 0.5, np.inf, first)):
-            got = matching._batch_k_local_search(D, init, k, known)
+            got = matching._batch_k_local_search(D, init, k, known, optimum, math.inf)
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
         assert (want[0] != np.array(init.pairs)).any()  # some searches swap
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bound_drops_only_rows_that_cannot_win(self, k):
+        # Rows whose ratio reaches the incumbent stop searching.  The rows
+        # that end below it equal the unbounded search bit for bit, and
+        # every dropped row would have ended at or above it.  The base is a
+        # mined k-local maximum below the optimum.  Three blocks: moves of it
+        # under the median of their ratios; moves of the global maximum
+        # under exactly 1.0, a plateau that every move keeping the optimum
+        # ties; and (k >= 2) the first block under the ratio a row reaches
+        # by its first swap, which lifts it onto the incumbent.
+        mined = mine_low_ratio(MinerConfig(k, 8, 1000, restarts=1, step_scale=0.15, seed=2))
+        base, local = mined.point_set, mined.local_matching
+        best = optimal_matching(base)
+        assert local != best
+        rng = np.random.default_rng(k)
+        unknown = np.full((24, math.comb(4, k)), np.nan)
+
+        def block(init, scale):
+            sets = perturbed(base, rng, 24, scale)
+            D = np.array([ps._dist_array for ps in sets])
+            return sets, D, init, matching._batch_max_weight(D)
+
+        def search(block, incumbent):
+            _, D, init, optimum = block
+            return matching._batch_k_local_search(D, init, k, unknown, optimum, incumbent)
+
+        def check(block, incumbent):
+            optimum = block[3]
+            full, got = search(block, math.inf), search(block, incumbent)
+            kept = got[1] / optimum < incumbent
+            assert (full[1][~kept] / optimum[~kept] >= incumbent).all()
+            for a, b in zip(got, full):
+                assert a[kept].tobytes() == b[kept].tobytes()
+            return got, kept
+
+        moves, plateau = block(local, 0.05), block(best, 0.15)
+        sets, _, _, optimum = moves
+        full = search(moves, math.inf)
+        _, kept = check(moves, float(np.median(full[1] / optimum)))
+        assert kept.any() and not kept.all()
+        starts = [weight(best, ps) / weight(optimal_matching(ps), ps) for ps in plateau[0]]
+        assert 1.0 in starts and min(starts) < 1.0
+        check(plateau, 1.0)
+        swapped = np.flatnonzero((full[0] != np.array(local.pairs)).any(axis=(1, 2)))
+        assert swapped.size or k == 1
+        if swapped.size:  # stopped on the incumbent, right after its first swap
+            row = int(swapped[0])
+            ps = sets[row]
+            subset, rematch = matching._scan_k_subsets(ps, local, k, "maximize")
+            first = Matching([p for p in local.pairs if p not in subset] + list(rematch))
+            lifted = weight(first, ps) / weight(optimal_matching(ps), ps)
+            got, kept = check(moves, lifted)
+            assert not kept[row] and got[1][row] / optimum[row] == lifted
+            assert got[0][row].tolist() == [list(p) for p in first.pairs]
 
     @pytest.mark.parametrize("objective", ["maximize", "minimize"])
     def test_chunked_scan_rows_equal_one_call(self, objective, monkeypatch):
