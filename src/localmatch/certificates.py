@@ -3,16 +3,15 @@
 A certificate is a point c together with the per-edge inequality chain
 |ca| + |cb| <= beta * |ab|, which sandwiches any rival matching between the
 star around c and beta times the certified matching.  Witness points
-minimize a convex pointwise-maximum objective in the plane.  For disk slack
-max_i(|x - c_i| - r_i), an LP-type problem of combinatorial dimension 3,
-an exact solver pivots on violated disks over bases of at most three disks
-with closed-form optima; the witness carries its support and convex
-multipliers, so `check_witness` re-verifies optimality without the solver.
-For the normalized ellipse radius, whose 2- and 3-supports have no closed
-form, an active-set Newton method with exact quadratic steps finds a witness
-that carries support and multipliers too, re-verified by the same check
-(`check_fingerhut_witness`).  Slack verdicts are relative to the instance's
-length scale.
+minimize a convex pointwise-maximum objective in the plane, an LP-type
+problem of combinatorial dimension 3, which one violator loop solves over
+bases of at most three pieces with closed-form optima.  Disk slack
+max_i(|x - c_i| - r_i) is solved by it directly.  The normalized ellipse
+radius, whose 2- and 3-supports have no closed form, is solved by an
+active-set Newton method whose quadratic model the same loop solves
+exactly.  Each witness carries its support and convex multipliers, so
+`check_witness` and `check_fingerhut_witness` re-verify optimality without
+the solver.  Slack verdicts are relative to the instance's length scale.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Literal, Optional
 
 from .geometry import DEFAULT_TOL, Disk, Point, diametral_disk, distance
@@ -131,10 +131,10 @@ class Certificate:
 
 
 # ---------------------------------------------------------------------------
-# Disk witness: exact violator pivoting
+# Violator pivoting, and the disks' closed-form bases
 # ---------------------------------------------------------------------------
 
-# Violation threshold of the pivot loop, relative to the family's length scale.
+# Violation threshold of the disk pivot, relative to the family's length scale.
 _PIVOT_RTOL = 1e-12
 
 
@@ -230,24 +230,30 @@ def _support_optimum(cx, cy, r, support):
     return _apollonius(cx, cy, r, support)
 
 
-def _pivot_disks(cx, cy, r, delta: float):
-    """Exact minimizer of max_i (|x - c_i| - r_i) by violator pivoting.
+def _pivot(n: int, solve, levels, starts, delta: float):
+    """Minimizer of the maximum of n convex pieces in the plane by violator
+    pivoting (Sharir & Welzl 1992; Matousek, Sharir & Welzl 1996).
 
-    The basis (at most three disks) starts at the largest disk, lowest index
-    first.  While the most violated disk h exceeds the basis value t, the
-    new basis is the subset of basis + h containing h whose closed-form
-    optimum satisfies every disk of basis + h; among those, a larger one
-    replaces a smaller only when its value is higher beyond tolerance.  The
-    value strictly increases, so no basis repeats and the number of bases
-    bounds the pivots.  Disks count as violated beyond `delta`.  Returns
-    (x, y, slack, support, multipliers).
+    `solve(support)` gives the closed-form minimizer (x, y, t, multipliers)
+    of the pieces in `support`, all at value t, or None when its multipliers
+    are not all nonnegative; `levels(x, y, pieces)` lists pieces' values at
+    (x, y).  The basis starts at the first of `starts` that solves.  While
+    the highest piece h exceeds the basis value t beyond `delta`, the new
+    basis is the subset of basis + h containing h whose point has the least
+    highest piece of basis + h, which becomes t; a later subset replaces an
+    earlier one only when lower beyond `delta`.  That is the optimum of
+    basis + h, so t rises, no basis repeats and the number of bases bounds
+    the pivots.  When rounding leaves no subset as low as the basis' own
+    point, the basis stays, at h's value, and the pivoting ends.
+    Returns (x, y, value, support, multipliers).
     """
-    n = len(r)
-    first = min(range(n), key=lambda i: (-r[i], i))
-    basis: tuple[int, ...] = (first,)
-    x, y, t, lam = cx[first], cy[first], -r[first], (1.0,)
+    for basis in starts:
+        got = solve(basis)
+        if got is not None:
+            break
+    x, y, t, lam = got
     for _ in range(n + math.comb(n, 2) + math.comb(n, 3)):
-        vals = [math.hypot(x - cx[i], y - cy[i]) - r[i] for i in range(n)]
+        vals = levels(x, y, range(n))
         h = max(range(n), key=vals.__getitem__)
         if vals[h] <= t + delta:
             return x, y, vals[h], basis, lam
@@ -256,19 +262,17 @@ def _pivot_disks(cx, cy, r, delta: float):
         for size in range(min(len(basis), 2) + 1):
             for rest in itertools.combinations(basis, size):
                 support = tuple(sorted(rest + (h,)))
-                got = _support_optimum(cx, cy, r, support)
+                got = solve(support)
                 if got is None:
                     continue
-                sx, sy, st, sl = got
-                at = {m: math.hypot(sx - cx[m], sy - cy[m]) - r[m] for m in pool}
-                feasible = all(v <= st + delta for v in at.values())
-                active = all(at[m] >= st - delta for m in support)
-                if feasible and active and (best is None or st > best[2] + delta):
-                    best = (sx, sy, st, support, sl)
-        if best is None:
-            raise WitnessError(f"no basis within disks {sorted(pool)} improves on slack {t:.3e}")
+                sx, sy, _, sl = got
+                top = max(levels(sx, sy, pool))
+                if best is None or top < best[2] - delta:
+                    best = (sx, sy, top, support, sl)
+        if best is None or best[2] > vals[h]:
+            best = (x, y, vals[h], basis, lam)
         x, y, t, basis, lam = best
-    raise WitnessError(f"pivot bound exceeded on {n} disks")
+    raise WitnessError(f"pivot bound exceeded on {n} pieces")
 
 
 class _Pieces:
@@ -296,8 +300,9 @@ class _Pieces:
         return rel * self.length + 16.0 * math.ulp(self.magnitude)
 
     def values(self, x: float, y: float) -> list[float]:
+        p = (x, y)  # paired with each of a piece's one or two foci
         return [
-            w * sum(math.hypot(x - px, y - py) for px, py in fs) - r
+            w * sum(map(math.dist, (p, p), fs)) - r
             for fs, w, r in zip(self.foci, self.weights, self.offsets)
         ]
 
@@ -480,46 +485,46 @@ def _support_step(vals, grads, h, support):
     return dx, dy, (li, lj, 1.0 - li - lj)
 
 
-def _qp_step(vals, grads, h):
+def _qp_step(vals, grads, h, start, delta: float):
     """Exact solution (dx, dy, support, multipliers) of the program
     min t + d'Hd/2 subject to vals[m] + grads[m].d <= t, H = (xx, xy, yy)
     positive definite.  Its optimum d minimizes the strictly convex
-    q(d) = max_m (vals[m] + grads[m].d) + d'Hd/2 and solves the program
-    restricted to the support of its multipliers, at most three pieces
-    (Caratheodory in the plane, with the sum constraint).  So the candidate
-    of least q over those supports, with nonnegative multipliers, is it; q
-    is charged the excess of the highest piece over the support's own level
-    t, which is nil at the optimum and makes a support not active lose ties.
+    q(d) = max_m (vals[m] + grads[m].d + d'Hd/2), a maximum of convex
+    pieces in the plane whose supports of at most three pieces have the
+    closed-form steps of `_support_step`.  So `_pivot` solves it exactly,
+    from the support `start` when its multipliers are nonnegative, else
+    from the highest piece alone; pieces count as violated beyond `delta`.
     """
     hxx, hxy, hyy = h
-    best_q, best = math.inf, None
-    for size in (1, 2, 3):
-        for support in itertools.combinations(range(len(vals)), size):
-            got = _support_step(vals, grads, h, support)
-            if got is None or min(got[2]) < 0.0:
-                continue
-            dx, dy, lam = got
-            t = vals[support[0]] + grads[support[0]][0] * dx + grads[support[0]][1] * dy
-            q = 2.0 * max(v + gx * dx + gy * dy for v, (gx, gy) in zip(vals, grads)) - t
-            q += 0.5 * (hxx * dx * dx + 2.0 * hxy * dx * dy + hyy * dy * dy)
-            if q < best_q:
-                best_q, best = q, (dx, dy, support, lam)
-    if best is None:
-        raise WitnessError("no support gives a finite quadratic step")
-    return best
+
+    def levels(dx, dy, pieces):
+        quad = 0.5 * (hxx * dx * dx + 2.0 * hxy * dx * dy + hyy * dy * dy)
+        return [vals[m] + grads[m][0] * dx + grads[m][1] * dy + quad for m in pieces]
+
+    def solve(support):
+        got = _support_step(vals, grads, h, support)
+        if got is None or min(got[2]) < 0.0:
+            return None
+        dx, dy, lam = got
+        return dx, dy, levels(dx, dy, support[:1])[0], lam
+
+    top = (max(range(len(vals)), key=vals.__getitem__),)
+    dx, dy, _, support, lam = _pivot(len(vals), solve, levels, [start, top], delta)
+    return dx, dy, support, lam
 
 
-def _trial_steps(pieces: _Pieces, x: float, y: float, dx: float, dy: float, grads, h):
+def _trial_steps(pieces: _Pieces, x: float, y: float, dx: float, dy: float, grads, h, qp):
     """Trial steps from (x, y), each with the share of the predicted decrease
     it must achieve: the Newton step d; its second-order correction c, which
     folds each piece's curvature along d into its value and solves the
-    program again; then s d + s^2 (c - d) for s halved up to 40 times.  This
-    arc bends with the active pieces' level curves, which near an edge's
-    endpoint curve on the scale of the distance to it."""
+    program again from `qp`, d's support and violation threshold; then
+    s d + s^2 (c - d) for s halved up to 40 times.  This arc bends with the
+    active pieces' level curves, which near an edge's endpoint curve on the
+    scale of the distance to it."""
     yield 1.0, dx, dy
     ahead = pieces.values(x + dx, y + dy)
     shifted = [v - gx * dx - gy * dy for v, (gx, gy) in zip(ahead, grads)]
-    cx, cy, _, _ = _qp_step(shifted, grads, h)
+    cx, cy, _, _ = _qp_step(shifted, grads, h, *qp)
     yield 1.0, cx, cy
     for i in range(1, 41):
         s = 0.5**i
@@ -532,9 +537,10 @@ def _newton_pieces(pieces: _Pieces, starts):
 
     From the start with the lowest F, each step solves the model
     min t + d'Hd/2 s.t. f_m + g_m.d <= t exactly, H the Hessian weighted by
-    the last multipliers, and takes the first trial step that lowers F by a
-    share of the predicted decrease F - t.  The program solved at the final
-    point names the support.  Returns (x, y, F, support, multipliers).
+    the last multipliers, by pivoting from the last support (`_qp_step`),
+    and takes the first trial step that lowers F by a share of the
+    predicted decrease F - t.  The program solved at the final point names
+    the support.  Returns (x, y, F, support, multipliers).
     """
     x, y = min(starts, key=lambda p: max(pieces.values(*p)))
     weights, settle = {}, math.inf
@@ -548,7 +554,7 @@ def _newton_pieces(pieces: _Pieces, starts):
         hxx, hxy, hyy = (sum(l * hessians[m][e] for m, l in weights.items()) for e in range(3))
         reg = _HESSIAN_RTOL * (hxx + hyy + pieces.lipschitz / pieces.length)
         h = (hxx + reg, hxy, hyy + reg)
-        dx, dy, support, lam = _qp_step(vals, grads, h)
+        dx, dy, support, lam = _qp_step(vals, grads, h, tuple(weights), noise)
         weights = dict(zip(support, lam))
         norm = math.hypot(dx, dy)
         if norm > pieces.length:
@@ -559,7 +565,7 @@ def _newton_pieces(pieces: _Pieces, starts):
         quiet = f - t <= noise
         if t >= f or (quiet and norm > settle / 2.0):
             return x, y, f, support, lam
-        for share, sx, sy in _trial_steps(pieces, x, y, dx, dy, grads, h):
+        for share, sx, sy in _trial_steps(pieces, x, y, dx, dy, grads, h, (support, noise)):
             fn = max(pieces.values(x + sx, y + sy))
             if (fn <= f + noise) if quiet else (fn < f and fn <= f - _ARMIJO * share * (f - t)):
                 x, y = x + sx, y + sy
@@ -589,8 +595,9 @@ def diametral_family(m: Matching, ps: PointSet, scale: float = 1.0) -> DiskFamil
 def common_point(df: DiskFamily) -> CenterWitness:
     """Point minimizing the maximum scaled-disk slack max_i(|xc_i| - r_i).
 
-    The minimizer is exact up to rounding, and the witness names its support
-    and multipliers; it is re-verified by `check_witness` before it is
+    The minimizer comes from violator pivoting over the disks' closed-form
+    optima, exact up to rounding, and the witness names its support and
+    multipliers; it is re-verified by `check_witness` before it is
     returned.  The scaled family has a common point when `witness.holds()`,
     i.e. slack is at most eps_opt in the family's length unit; positive slack
     beyond that means the intersection is empty.
@@ -599,7 +606,14 @@ def common_point(df: DiskFamily) -> CenterWitness:
         raise ValueError("common_point requires a nonempty disk family")
     cx, cy, r = _disk_coordinates(df)
     pieces = _disk_pieces(cx, cy, r)
-    x, y, slack, support, multipliers = _pivot_disks(cx, cy, r, pieces.tolerance(_PIVOT_RTOL))
+
+    def levels(x, y, disks):
+        return [math.hypot(x - cx[i], y - cy[i]) - r[i] for i in disks]
+
+    # The basis starts at the largest disk, lowest index first.
+    first = min(range(len(r)), key=lambda i: (-r[i], i))
+    solve, delta = partial(_support_optimum, cx, cy, r), pieces.tolerance(_PIVOT_RTOL)
+    x, y, slack, support, multipliers = _pivot(len(r), solve, levels, [(first,)], delta)
     witness = CenterWitness(
         point=Point(x, y),
         slack=slack,

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -231,6 +232,22 @@ class TestCheckWitness:
             check_witness(diametral_family(m, ps), fingerhut_center(m, ps))
 
 
+DEGENERATE_FAMILIES = {
+    "single": [(1, 2, 0.5)],
+    "single-point": [(1, 2, 0.0)],
+    "identical": [(0, 0, 1)] * 3,
+    "identical-points": [(0, 0, 0)] * 4,
+    "concentric": [(0, 0, 1), (0, 0, 2), (0, 0, 0.5)],
+    "nested": [(0, 0, 3), (0.5, 0, 1), (-1, 0.2, 0.3)],
+    "internally-tangent": [(0, 0, 2), (1, 0, 1)],
+    "collinear": [(0, 0, 1), (1, 0, 0.2), (2, 0, 1), (3, 0, 0.1)],
+    "collinear-equal": [(0, 0, 0.5), (1, 0, 0.5), (2, 0, 0.5)],
+    "collinear-within-1e-12": [(0, 0, 0.5), (1, 1e-12, 0.5), (2, 0, 0.5)],
+    "collinear-within-1e-12-point": [(0, 0, 1.0), (1, 1e-12, 0.0), (2, 0, 1.0)],
+    "cocircular": [(1, 0, 0.1), (0, 1, 0.1), (-1, 0, 0.1), (0, -1, 0.1)],
+}
+
+
 class TestBruteForceCrossCheck:
     @staticmethod
     def random_families(count, seed):
@@ -267,37 +284,7 @@ class TestBruteForceCrossCheck:
             for scale in (1.0, ENLARGEMENT_FACTOR):
                 self.assert_optimal(diametral_family(m, ps, scale))
 
-    @pytest.mark.parametrize(
-        "disks",
-        [
-            [(1, 2, 0.5)],
-            [(1, 2, 0.0)],
-            [(0, 0, 1)] * 3,
-            [(0, 0, 0)] * 4,
-            [(0, 0, 1), (0, 0, 2), (0, 0, 0.5)],
-            [(0, 0, 3), (0.5, 0, 1), (-1, 0.2, 0.3)],
-            [(0, 0, 2), (1, 0, 1)],
-            [(0, 0, 1), (1, 0, 0.2), (2, 0, 1), (3, 0, 0.1)],
-            [(0, 0, 0.5), (1, 0, 0.5), (2, 0, 0.5)],
-            [(0, 0, 0.5), (1, 1e-12, 0.5), (2, 0, 0.5)],
-            [(0, 0, 1.0), (1, 1e-12, 0.0), (2, 0, 1.0)],
-            [(1, 0, 0.1), (0, 1, 0.1), (-1, 0, 0.1), (0, -1, 0.1)],
-        ],
-        ids=[
-            "single",
-            "single-point",
-            "identical",
-            "identical-points",
-            "concentric",
-            "nested",
-            "internally-tangent",
-            "collinear",
-            "collinear-equal",
-            "collinear-within-1e-12",
-            "collinear-within-1e-12-point",
-            "cocircular",
-        ],
-    )
+    @pytest.mark.parametrize("disks", DEGENERATE_FAMILIES.values(), ids=DEGENERATE_FAMILIES)
     def test_degenerate_families(self, disks):
         df = family(*disks)
         try:
@@ -308,6 +295,153 @@ class TestBruteForceCrossCheck:
         assert abs(w.slack - brute_force_slack(df.scaled_disks())) <= 1e-9 * length_scale(
             df.scaled_disks()
         )
+
+
+# common_point witnesses on `pin_families()` as (x, y, slack, support,
+# multipliers), floats as float.hex, recorded from the disk pivot before it
+# became the generic violator loop that the Newton step shares.
+COMMON_POINT_PIN = {
+    "random-2": (
+        "0x1.71a4d449ab9b8p-2", "0x1.a6319612ad1b5p-1", "0x1.cec5dd258140ap-2",
+        (0, 1),
+        ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    ),
+    "random-3": (
+        "-0x1.2f5aab5371a34p-2", "0x1.ba7eca123c62ep-2", "0x1.b164bbef63012p-2",
+        (1, 2),
+        ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    ),
+    "random-4": (
+        "-0x1.a629c373cf3d0p-5", "-0x1.02d251ab68d5cp-2", "0x1.d161853ad4d14p-2",
+        (1, 2),
+        ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    ),
+    "random-5": (
+        "0x1.60cae723412efp-3", "0x1.60f0ee8c4def8p-2", "0x1.4425b77fae752p-2",
+        (3, 4),
+        ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    ),
+    "random-6": (
+        "0x1.9d1218588fc20p-4", "-0x1.b50c16c51f4e8p-4", "0x1.8889129fbb6d8p-2",
+        (0, 1),
+        ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    ),
+    "random-7": (
+        "-0x1.a189fc159389ep-3", "-0x1.eabfdaf6a4c49p-4", "0x1.372608ba303c4p-1",
+        (2, 3, 4),
+        ("0x1.3caff8921fc69p-4", "0x1.e0aa42af24c9ap-2", "0x1.d029bf2c5344bp-2"),
+    ),
+    "random-8": (
+        "-0x1.603076914341fp-3", "0x1.d191a3874af74p-5", "0x1.8ce114cae6e4ep-1",
+        (0, 1, 5),
+        ("0x1.ee939561f83bcp-2", "0x1.a666d8b8beac7p-2", "0x1.ac164795245fap-4"),
+    ),
+    "random-9": (
+        "-0x1.98015dbc34638p-5", "-0x1.242bc0f41aebfp-2", "0x1.0c2e28485a236p-1",
+        (1, 5, 6),
+        ("0x1.6b0caf3aed98bp-2", "0x1.3561d68d1ac29p-2", "0x1.5f917a37f7a4dp-2"),
+    ),
+    "random-10": (
+        "-0x1.0e5d905f00e70p-3", "-0x1.84cc29488fe48p-3", "0x1.e1dcca517de8cp-1",
+        (8, 9),
+        ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    ),
+    "tangent-enlarged": (
+        "0x1.0000000000000p+0", "0x1.279a74590331bp-1", "-0x1.0000000000000p-52",
+        (0, 1, 2),
+        ("0x1.5555555555556p-2", "0x1.5555555555556p-2", "0x1.5555555555554p-2"),
+    ),
+    "tangent-shy": (
+        "0x1.0000000000000p+0", "0x1.279a74590331bp-1", "0x1.0624dd2f1a400p-10",
+        (0, 1, 2),
+        ("0x1.5555555555556p-2", "0x1.5555555555556p-2", "0x1.5555555555554p-2"),
+    ),
+    "single": (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+1", "-0x1.0000000000000p-1",
+        (0,),
+        ("0x1.0000000000000p+0",),
+    ),
+    "single-point": (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+1", "0x0.0p+0",
+        (0,),
+        ("0x1.0000000000000p+0",),
+    ),
+    "identical": (
+        "0x0.0p+0", "0x0.0p+0", "-0x1.0000000000000p+0",
+        (0,),
+        ("0x1.0000000000000p+0",),
+    ),
+    "identical-points": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        (0,),
+        ("0x1.0000000000000p+0",),
+    ),
+    "concentric": (
+        "0x0.0p+0", "0x0.0p+0", "-0x1.0000000000000p-1",
+        (2,),
+        ("0x1.0000000000000p+0",),
+    ),
+    "nested": (
+        "-0x1.31a0c7376b960p-1", "0x1.2b88f2c839611p-3", "0x1.b4c94f96308b0p-4",
+        (1, 2),
+        ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    ),
+    "internally-tangent": (
+        "0x1.0000000000000p+0", "0x0.0p+0", "-0x1.0000000000000p+0",
+        (1,),
+        ("0x1.0000000000000p+0",),
+    ),
+    "collinear": (
+        "0x1.f333333333334p+0", "0x0.0p+0", "0x1.e666666666668p-1",
+        (0, 3),
+        ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    ),
+    "collinear-equal": (
+        "0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p-1",
+        (0, 2),
+        ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    ),
+    "collinear-within-1e-12": (
+        "0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p-1",
+        (0, 2),
+        ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    ),
+    "collinear-within-1e-12-point": (
+        "0x1.0000000000000p+0", "0x1.19799812dea11p-40", "0x0.0p+0",
+        (1,),
+        ("0x1.0000000000000p+0",),
+    ),
+    "cocircular": (
+        "0x0.0p+0", "0x0.0p+0", "0x1.ccccccccccccdp-1",
+        (0, 2),
+        ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    ),
+}
+
+
+def pin_families():
+    for n in range(2, 11):
+        rng = random.Random(n)
+        disks = [(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.05, 1)) for _ in range(n)]
+        yield f"random-{n}", family(*disks)
+    yield "tangent-enlarged", gen_tangent_disks().rescaled(ENLARGEMENT_FACTOR)
+    yield "tangent-shy", gen_tangent_disks().rescaled(ENLARGEMENT_FACTOR - 1e-3)
+    for name, disks in DEGENERATE_FAMILIES.items():
+        yield name, family(*disks)
+
+
+class TestCommonPointPin:
+    def test_witnesses_match_recording_bit_for_bit(self):
+        names = []
+        for name, df in pin_families():
+            w = common_point(df)
+            x, y, slack, support, multipliers = COMMON_POINT_PIN[name]
+            assert (float(w.point.x).hex(), float(w.point.y).hex()) == (x, y), name
+            assert float(w.slack).hex() == slack, name
+            assert w.support == support, name
+            assert tuple(float(l).hex() for l in w.multipliers) == multipliers, name
+            names.append(name)
+        assert names == list(COMMON_POINT_PIN)
 
 
 class TestSimilarityInvariance:
@@ -515,6 +649,71 @@ def assert_checked_or_raises(m, ps):
     check_fingerhut_witness(m, ps, w)
     assert min(w.multipliers) >= 0.0 and sum(w.multipliers) == pytest.approx(1.0, abs=1e-12)
     return w
+
+
+def brute_force_qp_step(vals, grads, h):
+    """The Newton model's step (dx, dy, support, multipliers) by trying every
+    support of at most three pieces: of those whose `_support_step` has
+    nonnegative multipliers, the one of least q, where q charges the excess
+    of the highest piece over the support's own level twice.  This was the
+    solver's own enumeration before the violator loop replaced it."""
+    hxx, hxy, hyy = h
+    best_q, best = math.inf, None
+    for size in (1, 2, 3):
+        for support in itertools.combinations(range(len(vals)), size):
+            got = certificates._support_step(vals, grads, h, support)
+            if got is None or min(got[2]) < 0.0:
+                continue
+            dx, dy, lam = got
+            t = vals[support[0]] + grads[support[0]][0] * dx + grads[support[0]][1] * dy
+            q = 2.0 * max(v + gx * dx + gy * dy for v, (gx, gy) in zip(vals, grads)) - t
+            q += 0.5 * (hxx * dx * dx + 2.0 * hxy * dx * dy + hyy * dy * dy)
+            if q < best_q:
+                best_q, best = q, (dx, dy, support, lam)
+    return best
+
+
+def qp_models():
+    """(vals, grads, H) of random Newton models, then degenerate ones."""
+    rng = random.Random(23)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        a, b, c = (rng.gauss(0, 1) for _ in range(3))
+        h = (a * a + 0.1, a * b, b * b + c * c + 0.1)
+        vals = [rng.uniform(-1, 1) for _ in range(n)]
+        yield vals, [(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)], h
+    unit, cos, sin = (1.0, 0.0, 1.0), -0.5, math.sqrt(3.0) / 2.0
+    # Equal gradients, with different and with equal values.
+    yield [0.0, 0.5, 0.5], [(1.0, 0.0)] * 3, unit
+    # Parallel gradient differences: every 3-support is singular.
+    yield [0.0, 0.1, 0.2, 0.05], [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (-1.0, -1.0)], unit
+    # Ties: three and four pieces active at d = 0.
+    yield [0.0] * 3, [(1.0, 0.0), (cos, sin), (cos, -sin)], unit
+    yield [0.0] * 4, [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)], unit
+    # Nearly singular H, with and without balanced gradients.
+    yield [0.0, 0.0, 0.3], [(1.0, -1.0), (-1.0, 1.0), (0.5, 0.2)], (1.0, 1.0 - 1e-9, 1.0)
+    yield [0.2, -0.1], [(1.0, 0.0), (0.0, 1.0)], (1e-10, 0.0, 1.0)
+    # A Fingerhut model at an edge's endpoint on another edge: a gradient at
+    # rounding level and a near-singular H, where the optimum's second
+    # multiplier is 0 and its closed form rounds below 0.
+    yield [-0.15470053837925168] * 2, [
+        (1.8116769772343915e-13, -1.268173884064074e-13),
+        (6.5312933612770525, -7.690451984101095),
+    ], (1522.605672531027, -1068.1011596075673, 749.2682500261258)
+
+
+class TestQuadraticStep:
+    def test_matches_brute_force_from_every_warm_start(self):
+        for vals, grads, h in qp_models():
+            rx, ry, _, _ = brute_force_qp_step(vals, grads, h)
+            scale = max(1.0, math.hypot(rx, ry))
+            starts = [s for k in (1, 2, 3) for s in itertools.combinations(range(len(vals)), k)]
+            for start in starts:
+                # 1e-14: about the Newton loop's rounding of F at unit scale.
+                dx, dy, support, lam = certificates._qp_step(vals, grads, h, start, 1e-14)
+                assert math.hypot(dx - rx, dy - ry) <= 1e-12 * scale, (vals, start)
+                assert 1 <= len(support) <= 3 and len(lam) == len(support)
+                assert min(lam) >= 0.0 and sum(lam) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFingerhutCenter:
