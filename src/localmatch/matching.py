@@ -133,9 +133,10 @@ class PointSet:
         return {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matching:
-    """A set of vertex-disjoint index pairs; each pair is stored (low, high)."""
+    """A set of vertex-disjoint index pairs; each pair is stored (low, high).
+    Immutable, hence shared: every ``enumerate_matchings`` call yields the same objects."""
 
     pairs: tuple[Pair, ...]
 
@@ -193,14 +194,18 @@ def weight(m: Matching, ps: PointSet) -> float:
     """Sum of the matching's edge lengths, added left to right (not ``sum``,
     which compensates float sums from Python 3.12 and would change bits)."""
     dist = ps.dist
-    n = len(dist)
+    pairs = m.pairs
     total = 0.0
-    # Pairs are stored (low, high), so i < 0 or j >= n covers every index
-    # out of range; a negative one would otherwise wrap round silently.
-    for i, j in m.pairs:
-        if i < 0 or j >= n:
-            raise IndexError(f"pair ({i}, {j}) out of range for {n} points")
-        total += dist[i][j]
+    # Sorted (low, high) pairs hold the least index at pairs[0][0]: one test there
+    # catches a negative index (it would wrap round); a high one fails the lookup.
+    if pairs and pairs[0][0] < 0:
+        i, j = pairs[0]
+        raise IndexError(f"pair ({i}, {j}) out of range for {len(dist)} points")
+    try:
+        for i, j in pairs:
+            total += dist[i][j]
+    except IndexError:
+        raise IndexError(f"pair ({i}, {j}) out of range for {len(dist)} points") from None
     return total
 
 
@@ -456,32 +461,28 @@ def enumerate_matchings(ps: PointSet) -> Iterator[Matching]:
     obtained by always pairing the lowest free index first, with partners
     in ascending order.
 
-    Each size's pairings are built on first use (~40 ms at 12 points) and
-    kept for the life of the process (``_pairings``): about 1.0 MB at 12
-    points, 1.1 MB for every size up to ``ENUMERATION_CAP``.  A call then
-    costs about 0.25 us per matching it yields, against about 2 us when
-    every call rebuilt them (shared 2-core 2.1 GHz Xeon VM, Python 3.11).
+    The matchings come from ``_pairings``' table, shared between calls, so
+    a call costs about 0.03 us per matching it yields (against 0.3 us when
+    each call wrapped the table's pairs in new ``Matching`` objects; shared
+    2-core 2.1 GHz Xeon VM, Python 3.11).
     """
     n = len(ps)
     if n % 2:
         raise ValueError(f"point set has odd cardinality {n}")
     if n > ENUMERATION_CAP:
         raise CapExceededError(f"{n} points exceeds the enumeration cap of {ENUMERATION_CAP}")
-    new, set_pairs = object.__new__, object.__setattr__
-    for pairs in _pairings(n):
-        # The table holds disjoint (low, high) pairs in sorted order, so the
-        # constructor's normalisation and checks are skipped.
-        m = new(Matching)
-        set_pairs(m, "pairs", pairs)
-        yield m
+    yield from _pairings(n)
 
 
 @functools.cache
-def _pairings(n: int) -> tuple[tuple[Pair, ...], ...]:
-    """Every pairing of range(n), each a sorted tuple of (low, high) pairs:
-    the lowest free index is paired first, with partners in ascending order.
-    The pair tuples are shared between pairings.  Callers keep n within
-    ``ENUMERATION_CAP``, which bounds the cache."""
+def _pairings(n: int) -> tuple[Matching, ...]:
+    """Every perfect matching of range(n), in ``enumerate_matchings``'
+    order: the lowest free index is paired first, with partners in
+    ascending order.  Built on first use (~40 ms at 12 points) and kept for
+    the life of the process; matchings share their pair tuples.  Callers
+    keep n within ``ENUMERATION_CAP``, which bounds the cache: 1.6 MB for
+    every size, 0.46 MB of it the ``Matching`` objects (tracemalloc; 2.1 MB
+    if ``Matching`` had an instance dict)."""
     pair = {(a, b): (a, b) for a, b in itertools.combinations(range(n), 2)}
 
     def rec(free: tuple[int, ...]) -> list[tuple[Pair, ...]]:
@@ -494,7 +495,15 @@ def _pairings(n: int) -> tuple[tuple[Pair, ...], ...]:
             out.extend(head + tail for tail in rec(free[1:idx] + free[idx + 1 :]))
         return out
 
-    return tuple(rec(tuple(range(n))))
+    new, set_pairs = object.__new__, object.__setattr__
+    table = []
+    for pairs in rec(tuple(range(n))):
+        # Disjoint (low, high) pairs in sorted order already, so the
+        # constructor's normalisation and checks are skipped.
+        m = new(Matching)
+        set_pairs(m, "pairs", pairs)
+        table.append(m)
+    return tuple(table)
 
 
 def _subset_weight(dist, pairs: Sequence[Pair]) -> float:

@@ -904,8 +904,8 @@ class TestFingerhutInvariance:
         moved_ps = points(*moved_coords)
         moved_m = Matching((perm[a], perm[b]) for a, b in m.pairs)
         # Nearly concurrent or nearly collinear edges may raise WitnessError
-        # (about 3 in 10,000 drawn instances); invariance is asserted of the
-        # witnesses that are returned.
+        # (2 of 50,272 drawn instances over five Hypothesis seeds, each with
+        # its image); invariance is asserted of the witnesses that are returned.
         w = assert_checked_or_raises(m, ps)
         v = assert_checked_or_raises(moved_m, moved_ps)
         assume(w is not None and v is not None)

@@ -1,9 +1,12 @@
 """Tests for the matching oracle, locality checks, local search, and
 cycle decomposition."""
 
+import copy
+import dataclasses
 import hashlib
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from localmatch.certificates import certify
 from localmatch.generators import MinerConfig, gen_circle_alternating, gen_random, mine_low_ratio
 from localmatch.geometry import Point
 from localmatch.matching import (
+    ENUMERATION_CAP,
     CapExceededError,
     Matching,
     PointSet,
@@ -147,6 +151,24 @@ class TestMatchingType:
         with pytest.raises(ValueError):
             Matching([(2, 2)])
 
+    def test_pairs_are_frozen(self):
+        m = Matching([(0, 1)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.pairs = ((2, 3),)
+        assert m.pairs == ((0, 1),) and not hasattr(m, "__dict__")
+
+    def test_equality_and_hash_go_by_pairs(self):
+        a, b = Matching([(3, 0), (2, 1)]), Matching([(1, 2), (0, 3)])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Matching([(0, 1), (2, 3)])
+
+    def test_copy_and_pickle_round_trip(self):
+        m = Matching([(3, 0), (2, 1)])
+        copies = [copy.copy(m), copy.deepcopy(m)]
+        copies += [pickle.loads(pickle.dumps(m, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for c in copies:
+            assert type(c) is Matching and c == m and c.pairs == ((0, 3), (1, 2))
+
 
 class TestWeight:
     def test_single_edge(self):
@@ -161,13 +183,17 @@ class TestWeight:
         assert weight(Matching([]), PointSet([])) == 0.0
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=r"^pair \(0, 7\) out of range for 4 points$"):
             weight(Matching([(0, 7)]), unit_square())
 
     # A bare dist[-1] would wrap round to the last point without an error.
-    @pytest.mark.parametrize("pairs", [[(-1, 0)], [(-3, -2)], [(4, 5)]])
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(-1, 0)], [(-3, -2)], [(4, 5)], [(0, 1), (2, 4)], [(0, 1), (4, 6)], [(-1, 4), (0, 1)]],
+    )
     def test_other_indices_out_of_range(self, pairs):
-        with pytest.raises(IndexError):
+        ((i, j),) = [(i, j) for i, j in pairs if i < 0 or j >= 4]
+        with pytest.raises(IndexError, match=rf"^pair \({i}, {j}\) out of range for 4 points$"):
             weight(Matching(pairs), unit_square())
 
     def test_adds_left_to_right_on_every_matching(self):
@@ -622,6 +648,17 @@ class TestEnumerateMatchings:
         with pytest.raises(error):
             next(enumerate_matchings(ps))
         assert matching._pairings.cache_info() == before
+
+    def test_outputs_pinned(self):
+        # Digest of every yielded matching's pairs and weight, recorded from
+        # the enumeration that built a new Matching per yield.
+        h = hashlib.sha256()
+        for n in range(2, ENUMERATION_CAP + 1, 2):
+            ps = gen_random(n, seed=n)
+            for m in enumerate_matchings(ps):
+                h.update(repr(m.pairs).encode())
+                h.update(weight(m, ps).hex().encode())
+        assert h.hexdigest() == "6adaf7673cce20b13d4d95c1475fd94c7b02009f17ea36589230543ac19080df"
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_equal_to_constructed_matchings(self, n):
