@@ -9,7 +9,11 @@ over a stack of distance arrays at once (``_batch_optimal``), with
 bit-for-bit the same weights and pairs.  A stack holds index sets of one
 point set (the oracle, the scans) or whole point sets (the miner's
 candidates, through ``_batch_k_local_search`` and ``_batch_max_weight``).
-Every batched locality scan, one point set's or a lockstep search's, runs
+The sweep keeps each level's optimum values.  A caller that reads one
+row's pairs (the oracle, a single set's scan) re-forms that row's path
+from them (``_row_pairs``); only stacks of several point sets, whose pairs
+are read for many rows, keep each level's arg-extrema as well.  Every
+batched locality scan, one point set's or a lockstep search's, runs
 through one kernel, ``_scan_rows``.
 """
 
@@ -51,8 +55,9 @@ Objective = Literal["maximize", "minimize"]
 
 # Oracle cap counts edges: up to 13 pairs / 26 points for the subset DP.
 # In a fresh interpreter the first call at 26 points, plan build included,
-# takes ~0.2 s and peaks at ~64 MB RSS (the scalar memo: ~1.2 s, 105 MB);
-# later calls reuse the plan and take ~0.04 s.  Shared 2-core 2.1 GHz Xeon
+# takes ~0.13 s and peaks at ~59 MB RSS (the scalar memo: ~1.2 s, 105 MB);
+# later calls reuse the plan and take ~0.024 s (0.032 s, and 64 MB, when
+# the oracle kept each level's arg-extrema).  Shared 2-core 2.1 GHz Xeon
 # VM, Python 3.11, numpy 2.4.  Each further pair costs ~3x time and memory.
 DEFAULT_ORACLE_CAP = 13
 # Full enumeration stays below 10395 matchings (12 points).
@@ -270,8 +275,11 @@ class _Level(NamedTuple):
     position with its j-th other free one (ascending); ``lin`` holds
     ``low * k + partner`` and ``tails`` the index of the state left over in
     the level below.  Partner-major order puts the states' candidates for
-    one j side by side, which makes the arg-extremum over j ~2x faster than
-    over a contiguous last axis (numpy 2.4)."""
+    one j side by side, so a level's optimum over j is an elementwise max
+    (or min) of contiguous rows: over one row's levels at k = 20, 33 us
+    against 641 us over a contiguous last axis.  The arg-extremum, which
+    only stacks of several point sets take, runs ~1.3x slower in this order
+    (338 against 253 us).  Shared 2-core 2.1 GHz Xeon VM, numpy 2.4."""
 
     width: int
     lin: np.ndarray
@@ -335,55 +343,77 @@ def _plan(k: int) -> tuple[_Level, ...]:
     return tuple(levels)
 
 
-def _batch_optimal(local: np.ndarray, objective: Objective) -> tuple[np.ndarray, list[np.ndarray]]:
+def _batch_optimal(
+    local: np.ndarray, objective: Objective, with_choices: bool
+) -> tuple[list[np.ndarray], Optional[list[np.ndarray]]]:
     """Optimum perfect matchings on a stack of B distance arrays of one even
     size k at once.
 
     ``local`` is (B, k, k): each row's own distances among its k positions,
     gathered by the caller from one point set (index sets of the oracle and
     the locality scans) or from one point set per row (the miner's
-    candidates).  Returns the (B,) optimum weights and each level's
-    (B, states) choices, top level first, from which ``_batch_pairs`` reads
-    the pairs.  Both equal ``_dp_optimal`` on that row: level by level from
-    the bottom, a transition's candidate is the same sum
-    ``best[tail] + dist[low][partner]`` of the same floats, and the first
-    arg-extremum over a state's ascending partners is the memo's
+    candidates).  Returns each level's (B, states) optimum values, top level
+    first and then the empty state's zeros, so ``values[0][:, 0]`` holds
+    the B optimum weights; ``_row_pairs`` re-forms one row's pairs from
+    them.  With ``with_choices`` it also returns each level's (B, states)
+    arg-extrema, top level first, from which ``_stack_pairs`` reads the
+    pairs of many rows (else None).  Both equal ``_dp_optimal`` on that
+    row: level by level from the bottom, a transition's candidate is the
+    same sum ``best[tail] + dist[low][partner]`` of the same floats, and the
+    first arg-extremum over a state's ascending partners is the memo's
     strict-improvement choice, ties included.
     """
     b, k, _ = local.shape
     local = local.reshape(b, k * k)
-    best = np.zeros((b, 1))
-    choices = []
+    maximize = objective == "maximize"
+    values, choices = [np.zeros((b, 1))], []
     for level in reversed(_plan(k)):
-        cand = (best[:, level.tails] + local[:, level.lin]).reshape(b, level.width, -1)
-        if objective == "maximize":
-            choices.append(cand.argmax(axis=1))
-            best = cand.max(axis=1)
-        else:
-            choices.append(cand.argmin(axis=1))
-            best = cand.min(axis=1)
+        cand = values[-1][:, level.tails]
+        cand += local[:, level.lin]
+        cand = cand.reshape(b, level.width, -1)
+        if with_choices:
+            choices.append(cand.argmax(axis=1) if maximize else cand.argmin(axis=1))
+        values.append(cand.max(axis=1) if maximize else cand.min(axis=1))
+    values.reverse()
     choices.reverse()
-    return best[:, 0], choices
+    return values, choices if with_choices else None
 
 
-def _batch_pairs(rows: np.ndarray, choices: list[np.ndarray], r: int) -> tuple[Pair, ...]:
-    """Pairs of row r's optimum from ``_batch_optimal``'s choices, top down;
-    ``rows`` (B, k) gives the indices of each row's positions."""
-    k = rows.shape[1]
+def _row_pairs(
+    local: np.ndarray, values: list[np.ndarray], r: int, row: Sequence[int]
+) -> tuple[Pair, ...]:
+    """Pairs of row r's optimum, re-formed top down from ``_batch_optimal``'s
+    values alone; ``row`` gives the indices of its positions.
+
+    At each level the state's candidates are added again, the same sums
+    ``below[tail] + dist[low][partner]`` of the same floats over its
+    ascending partners, and the first one equal to the state's optimum is
+    taken: the first arg-extremum, so the pairs are the memo's and
+    ``_stack_pairs``', ties included.  One row costs a few candidates per
+    level in Python, where the arg-extrema cost numpy a pass over every
+    state.
+    """
+    k = local.shape[1]
+    flat = local[r].reshape(k * k)
     state = 0
     pairs = []
-    for level, choice in zip(_plan(k), choices):
-        move = int(choice[r, state]) * (level.lin.size // level.width) + state
-        low, partner = divmod(int(level.lin[move]), k)
-        pairs.append((int(rows[r, low]), int(rows[r, partner])))
-        state = int(level.tails[move])
+    for level, here, below in zip(_plan(k), values, values[1:]):
+        best, below = here[r, state], below[r]
+        step = level.lin.size // level.width  # the state's transitions: state, state + step, ...
+        for lin, state in zip(level.lin[state::step].tolist(), level.tails[state::step].tolist()):
+            if below[state] + flat[lin] == best:
+                break  # state is now the tail, the next level's state
+        pairs.append((row[lin // k], row[lin % k]))
     return tuple(pairs)
 
 
 def _stack_pairs(rows: np.ndarray, choices: list[np.ndarray], picks: np.ndarray) -> np.ndarray:
-    """``_batch_pairs`` of every picked row at once, as a (len(picks),
-    k // 2, 2) array.  Each level pairs the lowest free position, so a
-    row's pairs come out sorted as ``Matching`` stores them."""
+    """Pairs of each picked row's optimum from ``_batch_optimal``'s
+    arg-extrema, top down, as a (len(picks), k // 2, 2) array; ``rows``
+    (B, k) gives the indices of each row's positions.  They equal
+    ``_dp_optimal``'s on that row, ties included.  Each level pairs the
+    lowest free position, so a row's pairs come out sorted as ``Matching``
+    stores them."""
     k = rows.shape[1]
     state = np.zeros(len(picks), dtype=np.intp)
     lin = np.empty((len(picks), k // 2), dtype=np.intp)  # low * k + partner per level
@@ -396,9 +426,9 @@ def _stack_pairs(rows: np.ndarray, choices: list[np.ndarray], picks: np.ndarray)
 
 # Calls solving fewer than this many transitions in all (index sets x
 # transitions per set) run the scalar memo: below it numpy's fixed cost per
-# level outweighs the memo's ~0.4 us per transition.  One oracle call
-# crosses over between 8 points (97 transitions: 40 us memo, 58 us batch)
-# and 10 (332: 148 vs 75 us).  For k_local_search plus its verdict, from
+# level outweighs the memo's ~0.3 us per transition.  One oracle call
+# crosses over between 8 points (97 transitions: 28 us memo, 32 us batch)
+# and 10 (332: 97 vs 42 us).  For k_local_search plus its verdict, from
 # greedy on random sets (n = 8-16, k = 2-4), 300 was the fastest or within
 # ~10 % of the fastest of 60, 120, 300, 600, 1200 and "never batch".  The
 # miner's single calls are smaller (at most 104 transitions), so it judges
@@ -433,8 +463,9 @@ def optimal_matching(
     """Exact optimum perfect matching by dynamic programming over subsets.
 
     Small instances run the scalar memo ``_dp_optimal``, larger ones the
-    batched level-by-level form ``_batch_optimal``; both return the same
-    pairs, ties included.  Limited to 2*cap points (default 26) to bound
+    batched level-by-level form ``_batch_optimal`` by values alone, with
+    the pairs re-formed by ``_row_pairs``; both return the same pairs, ties
+    included.  Limited to 2*cap points (default 26) to bound
     time and memory, which grow about 2.8x per added pair.  The optimum is
     solved once per point set and objective and kept on the point set;
     the checks, the cap's included, run on every call.
@@ -451,8 +482,9 @@ def optimal_matching(
         if not _batched(1, n):
             memo[objective] = Matching(_dp_optimal(ps.dist, range(n), objective)[1])
         else:
-            _, choices = _batch_optimal(ps._dist_array[None], objective)
-            memo[objective] = Matching(_batch_pairs(np.arange(n)[None, :], choices, 0))
+            local = ps._dist_array[None]
+            values, _ = _batch_optimal(local, objective, False)
+            memo[objective] = Matching(_row_pairs(local, values, 0, range(n)))
     return memo[objective]
 
 
@@ -586,9 +618,14 @@ def _scan_rows(
     minimizing, where ``current`` sums the edges column by column in pair
     order, as ``_subset_weight`` adds them.  A row is a hit when its gap
     exceeds ``limit[owner[r]]``.  Returns the (R,) gaps, the first hit row
-    of each owner that has one, and those rows' optimal rematches
-    (h, k, 2), each pair sorted and the pairs in ``Matching`` order.
-    Rows run in chunks of ``_chunk_rows(2 * k)``.
+    of each owner that has one, and those rows' optimal rematches, each pair
+    sorted and the pairs in ``Matching`` order.  On a stack of one point set
+    (so h <= 1) the rematches are a list of h tuples of pairs, as
+    ``_scan_k_subsets`` gives them; on a stack of several, an (h, k, 2)
+    array.  A chunk's single hit is re-formed from the DP's values
+    (``_row_pairs``), several hits from its arg-extrema, which only stacks
+    of several point sets keep.  Rows run in chunks of
+    ``_chunk_rows(2 * k)``.
     """
     k = edges.shape[1]
     step = _chunk_rows(2 * k)
@@ -599,7 +636,9 @@ def _scan_rows(
         e, o = edges[lo : lo + step], owner[lo : lo + step]
         current = _sum_in_order(_gather(D, o, e[:, :, 0], e[:, :, 1]))
         rows = np.sort(e.reshape(len(e), 2 * k), axis=1)
-        opt, choices = _batch_optimal(_gather(D, o, rows[:, :, None], rows[:, None, :]), objective)
+        local = _gather(D, o, rows[:, :, None], rows[:, None, :])
+        values, choices = _batch_optimal(local, objective, len(D) > 1)
+        opt = values[0][:, 0]
         g = gap[lo : lo + len(e)] = opt - current if objective == "maximize" else current - opt
         hits = np.flatnonzero(g > limit[o])
         if hits.size > 1:  # each owner's first hit
@@ -613,15 +652,19 @@ def _scan_rows(
         if not hits.size:
             continue
         last = o[hits[-1]]
-        if hits.size == 1:  # one row: the scalar read is cheaper
-            rematch.append(np.array([_batch_pairs(rows, choices, int(hits[0]))]))
-        else:
+        if hits.size > 1:
             rematch.append(_stack_pairs(rows, choices, hits))
+        else:  # one row: the scalar read from the values is cheaper
+            h = int(hits[0])
+            pairs = _row_pairs(local, values, h, rows[h].tolist())
+            rematch.append(pairs if len(D) == 1 else np.array([pairs]))
         picks.append(lo + hits)
-    if len(picks) == 1:
-        return gap, picks[0], rematch[0]
+    if len(D) == 1:  # one owner, so at most one hit
+        return gap, picks[0] if picks else np.empty(0, dtype=np.intp), rematch
     if not picks:
         return gap, np.empty(0, dtype=np.intp), np.empty((0, k, 2), dtype=np.intp)
+    if len(picks) == 1:
+        return gap, picks[0], rematch[0]
     return gap, np.concatenate(picks), np.concatenate(rematch)
 
 
@@ -645,7 +688,7 @@ def _scan_batched(
         _, picks, rematch = _scan_rows(D, owner, pairs[np.array(block)], limit, objective)
         if picks.size:
             subset = tuple(m.pairs[c] for c in block[int(picks[0])])
-            return subset, tuple(map(tuple, rematch[0].tolist()))
+            return subset, rematch[0]
         size *= 4
     return None
 
@@ -814,7 +857,7 @@ def _batch_k_local_search(
             break
         swap = row[picks]
         swapped = held[swap]
-        swapped[np.arange(len(swap))[:, None], combos[col[picks]]] = rematch
+        swapped[np.arange(len(swap))[:, None], combos[col[picks]]] = rematch  # a list if b == 1
         order = np.argsort(swapped[:, :, 0], axis=1)
         active = active[swap]
         pairs[active] = np.take_along_axis(swapped, order[:, :, None], axis=1)
@@ -831,7 +874,7 @@ def _batch_max_weight(D: np.ndarray) -> np.ndarray:
     out = np.empty(b)
     for lo in range(0, b, step):
         d = D[lo : lo + step]
-        _, choices = _batch_optimal(d, "maximize")
+        _, choices = _batch_optimal(d, "maximize", True)
         picks = np.arange(len(d))
         pairs = _stack_pairs(np.broadcast_to(np.arange(n), (len(d), n)), choices, picks)
         out[lo : lo + len(d)] = _sum_in_order(d[picks[:, None], pairs[:, :, 0], pairs[:, :, 1]])

@@ -349,11 +349,20 @@ class TestBatchedOracle:
     def test_equal_to_memo_dp(self, objective):
         for name, ps in batch_instances():
             n = len(ps)
-            rows = np.arange(n)[None, :]
-            weights, choices = matching._batch_optimal(ps._dist_array[None], objective)
+            local = ps._dist_array[None]
+            values, choices = matching._batch_optimal(local, objective, True)
             want_w, want_pairs = matching._dp_optimal(ps.dist, range(n), objective)
-            assert float(weights[0]).hex() == want_w.hex(), name
-            assert matching._batch_pairs(rows, choices, 0) == want_pairs, name
+            assert float(values[0][0, 0]).hex() == want_w.hex(), name
+            stacked = matching._stack_pairs(np.arange(n)[None, :], choices, np.arange(1))
+            assert stacked[0].tolist() == [list(pair) for pair in want_pairs], name
+            # The value path, which keeps no arg-extrema: the same values, and
+            # the same pairs re-formed from them.
+            alone, none = matching._batch_optimal(local, objective, False)
+            assert none is None
+            assert [a.tobytes() for a in alone] == [a.tobytes() for a in values], name
+            got = matching._row_pairs(local, alone, 0, range(n))
+            assert got == want_pairs, name
+            assert all(type(i) is int for pair in got for i in pair)
 
     @pytest.mark.parametrize("objective", ["maximize", "minimize"])
     def test_many_rows_at_once(self, objective):
@@ -362,12 +371,14 @@ class TestBatchedOracle:
         for k in (2, 4, 6, 8):
             rows = np.sort(np.array([rng.choice(16, k, replace=False) for _ in range(40)]), axis=1)
             local = ps._dist_array[rows[:, :, None], rows[:, None, :]]
-            weights, choices = matching._batch_optimal(local, objective)
+            values, choices = matching._batch_optimal(local, objective, True)
+            alone, _ = matching._batch_optimal(local, objective, False)
             stacked = matching._stack_pairs(rows, choices, np.arange(40))
             for r, row in enumerate(rows.tolist()):
                 want_w, want_pairs = matching._dp_optimal(ps.dist, row, objective)
-                assert float(weights[r]).hex() == want_w.hex()
-                assert matching._batch_pairs(rows, choices, r) == want_pairs
+                assert float(values[0][r, 0]).hex() == want_w.hex()
+                assert float(alone[0][r, 0]).hex() == want_w.hex()
+                assert matching._row_pairs(local, alone, r, row) == want_pairs
                 assert stacked[r].tolist() == [list(pair) for pair in want_pairs]
 
     def test_plan_sizes(self):
@@ -411,8 +422,8 @@ class TestBatchedOracle:
         ps = gen_random(28, seed=5)
         want_w, want_pairs = matching._dp_optimal(ps.dist, range(28), "maximize")
         assert optimal_matching(ps, cap=14).pairs == want_pairs
-        weights, _ = matching._batch_optimal(ps._dist_array[None], "maximize")
-        assert float(weights[0]).hex() == want_w.hex()
+        values, _ = matching._batch_optimal(ps._dist_array[None], "maximize", False)
+        assert float(values[0][0, 0]).hex() == want_w.hex()
 
     def test_plan_arrays_read_only(self):
         for level in matching._plan(8):
@@ -453,6 +464,12 @@ class TestBatchedLocalSearch:
             assert float(weights[r]).hex() == weight(want, ps).hex()
             assert float(optimum[r]).hex() == weight(optimal_matching(ps), ps).hex()
             swapped += want != init
+            # A stack of one set, as when a block keeps one candidate: its
+            # scans hand back the rematch as pair tuples.
+            alone = matching._batch_k_local_search(
+                D[r : r + 1], init, k, unknown[:1], optimum[r : r + 1], math.inf)
+            assert alone[0][0].tobytes() == pairs[r].tobytes()
+            assert alone[1][0].hex() == weights[r].hex()
         assert swapped or k == 1
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -584,6 +601,8 @@ class TestBatchedScan:
                 loop = scan(ps, m, k, objective, math.inf, monkeypatch)
                 batch = scan(ps, m, k, objective, 1, monkeypatch)
                 assert batch == loop, (n, k)
+                if batch:  # the rematch as tuples of ints, as the loop gives it
+                    assert all(type(i) is int for pair in batch[1] for i in pair)
             if math.comb(n // 2, k) * matching._transitions(2 * k) >= min_work:
                 above += 1
             else:
@@ -879,10 +898,10 @@ def count_solves(monkeypatch, n):
             oracle.append(objective)
         return dp(dist, indices, objective)
 
-    def counted_batch(local, objective):
+    def counted_batch(local, objective, with_choices):
         if local.shape[1] == n:
             oracle.append(objective)
-        return batch(local, objective)
+        return batch(local, objective, with_choices)
 
     def counted_scan(ps, m, k, objective):
         scans.append((m.pairs, k, objective))
