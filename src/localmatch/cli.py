@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine", help="search for low-ratio k-local maximum instances")
     add_common(p, needs_input=False)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=int, default=2, help="locality of the mined matching, at least 2")
     p.add_argument("--n", type=int, default=6, help="number of points")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=2000, help="iterations per restart")

