@@ -306,6 +306,24 @@ class _Pieces:
             for fs, w, r in zip(self.foci, self.weights, self.offsets)
         ]
 
+    def lowest(self, starts) -> tuple[float, float]:
+        """``min(starts, key=lambda p: max(self.values(*p)))``: the first
+        start with the lowest F = max_m f_m, from the same floats.  A start
+        stops being scored once one of its pieces reaches the lowest F so
+        far, since it can then at best tie, and a tie keeps the first."""
+        terms = list(zip(self.foci, self.weights, self.offsets))
+        best, lowest = None, math.inf
+        for p in starts:
+            f = -math.inf
+            for fs, w, r in terms:
+                v = w * sum(map(math.dist, (p, p), fs)) - r
+                if v >= lowest:
+                    break
+                f = max(f, v)
+            else:
+                best, lowest = p, f
+        return best
+
     def derivatives(self, x: float, y: float):
         """(value, gradient, Hessian (xx, xy, yy)) of every piece at (x, y);
         a focus within the rounding of the coordinates counts as at the
@@ -542,7 +560,7 @@ def _newton_pieces(pieces: _Pieces, starts):
     predicted decrease F - t.  The program solved at the final point names
     the support.  Returns (x, y, F, support, multipliers).
     """
-    x, y = min(starts, key=lambda p: max(pieces.values(*p)))
+    x, y = pieces.lowest(starts)
     weights, settle = {}, math.inf
     for _ in range(_NEWTON_STEPS):
         vals, grads, hessians = zip(*pieces.derivatives(x, y))

@@ -6,9 +6,11 @@ The oracle and the locality scans solve one subset recurrence: pair the
 lowest free index with each other free one.  Small calls run it as a
 scalar memo (``_dp_optimal``); larger ones run it level by level in numpy
 over a stack of distance arrays at once (``_batch_optimal``), with
-bit-for-bit the same weights and pairs.  A stack holds index sets of one
-point set (the oracle, the scans) or whole point sets (the miner's
-candidates, through ``_batch_k_local_search`` and ``_batch_max_weight``).
+bit-for-bit the same weights and pairs.  A stack is a (k, k, B) array with
+its B rows on the last axis, so each level gathers whole rows of B values;
+a row is an index set of one point set (the oracle, the scans) or a whole
+point set (the miner's candidates, through ``_batch_k_local_search`` and
+``_batch_max_weight``).
 The sweep keeps each level's optimum values.  A caller that reads one
 row's pairs (the oracle, a single set's scan) re-forms that row's path
 from them (``_row_pairs``); only stacks of several point sets, whose pairs
@@ -55,10 +57,12 @@ Objective = Literal["maximize", "minimize"]
 
 # Oracle cap counts edges: up to 13 pairs / 26 points for the subset DP.
 # In a fresh interpreter the first call at 26 points, plan build included,
-# takes ~0.13 s and peaks at ~59 MB RSS (the scalar memo: ~1.2 s, 105 MB);
-# later calls reuse the plan and take ~0.024 s (0.032 s, and 64 MB, when
-# the oracle kept each level's arg-extrema).  Shared 2-core 2.1 GHz Xeon
-# VM, Python 3.11, numpy 2.4.  Each further pair costs ~3x time and memory.
+# takes ~0.14 s and peaks at ~65 MB RSS (the scalar memo: ~1.2 s, 105 MB);
+# later calls reuse the plan and take ~0.012-0.018 s.  The peak is ~5 MB
+# above the (B, k, k) layout's 59.5 MB: ``take`` copies a level's uint16
+# indices to intp, where 2-D fancy indexing cast them in buffered chunks.
+# Shared 2-core 2.1 GHz Xeon VM, Python 3.11, numpy 2.4.  Each further
+# pair costs ~3x time and memory.
 DEFAULT_ORACLE_CAP = 13
 # Full enumeration stays below 10395 matchings (12 points).
 ENUMERATION_CAP = 12
@@ -277,10 +281,11 @@ class _Level(NamedTuple):
     ``low * k + partner`` and ``tails`` the index of the state left over in
     the level below.  Partner-major order puts the states' candidates for
     one j side by side, so a level's optimum over j is an elementwise max
-    (or min) of contiguous rows: over one row's levels at k = 20, 33 us
-    against 641 us over a contiguous last axis.  The arg-extremum, which
-    only stacks of several point sets take, runs ~1.3x slower in this order
-    (338 against 253 us).  Shared 2-core 2.1 GHz Xeon VM, numpy 2.4."""
+    (or min) of contiguous rows: over one row's levels at k = 20, 34 us
+    against 550-640 us over a contiguous last axis.  The arg-extremum,
+    which only stacks of several point sets take, runs ~1.15-1.25x slower
+    in this order (410-432 against 337-362 us).  Shared 2-core 2.1 GHz Xeon
+    VM, numpy 2.4."""
 
     width: int
     lin: np.ndarray
@@ -350,31 +355,34 @@ def _batch_optimal(
     """Optimum perfect matchings on a stack of B distance arrays of one even
     size k at once.
 
-    ``local`` is (B, k, k): each row's own distances among its k positions,
-    gathered by the caller from one point set (index sets of the oracle and
-    the locality scans) or from one point set per row (the miner's
-    candidates).  Returns each level's (B, states) optimum values, top level
-    first and then the empty state's zeros, so ``values[0][:, 0]`` holds
-    the B optimum weights; ``_row_pairs`` re-forms one row's pairs from
-    them.  With ``with_choices`` it also returns each level's (B, states)
-    arg-extrema, top level first, from which ``_stack_pairs`` reads the
-    pairs of many rows (else None).  Both equal ``_dp_optimal`` on that
-    row: level by level from the bottom, a transition's candidate is the
-    same sum ``best[tail] + dist[low][partner]`` of the same floats, and the
-    first arg-extremum over a state's ascending partners is the memo's
+    ``local`` is a C-contiguous (k, k, B) array, the stack on the last
+    axis: ``local[:, :, r]`` holds row r's own distances among its k
+    positions, gathered by the caller from one point set (index sets of the
+    oracle and the locality scans) or from one point set per row (the
+    miner's candidates).  Each level gathers whole rows of B values, by
+    ``take`` on axis 0, and reduces over the partners on axis 0.  Returns
+    each level's (states, B) optimum values, top level first and then the
+    empty state's zeros, so ``values[0][0]`` holds the B optimum weights;
+    ``_row_pairs`` re-forms one row's pairs from them.  With
+    ``with_choices`` it also returns each level's (states, B) arg-extrema,
+    top level first, from which ``_stack_pairs`` reads the pairs of many
+    rows (else None).  Both equal ``_dp_optimal`` on that row: level by
+    level from the bottom, a transition's candidate is the same sum
+    ``best[tail] + dist[low][partner]`` of the same floats, and the first
+    arg-extremum over a state's ascending partners is the memo's
     strict-improvement choice, ties included.
     """
-    b, k, _ = local.shape
-    local = local.reshape(b, k * k)
+    k, _, b = local.shape
+    local = local.reshape(k * k, b)
     maximize = objective == "maximize"
-    values, choices = [np.zeros((b, 1))], []
+    values, choices = [np.zeros((1, b))], []
     for level in reversed(_plan(k)):
-        cand = values[-1][:, level.tails]
-        cand += local[:, level.lin]
-        cand = cand.reshape(b, level.width, -1)
+        cand = values[-1].take(level.tails, axis=0)
+        cand += local.take(level.lin, axis=0)
+        cand = cand.reshape(level.width, -1, b)
         if with_choices:
-            choices.append(cand.argmax(axis=1) if maximize else cand.argmin(axis=1))
-        values.append(cand.max(axis=1) if maximize else cand.min(axis=1))
+            choices.append(cand.argmax(axis=0) if maximize else cand.argmin(axis=0))
+        values.append(cand.max(axis=0) if maximize else cand.min(axis=0))
     values.reverse()
     choices.reverse()
     return values, choices if with_choices else None
@@ -394,12 +402,12 @@ def _row_pairs(
     level in Python, where the arg-extrema cost numpy a pass over every
     state.
     """
-    k = local.shape[1]
-    flat = local[r].reshape(k * k)
+    k = local.shape[0]
+    flat = local.reshape(k * k, -1)[:, r]
     state = 0
     pairs = []
     for level, here, below in zip(_plan(k), values, values[1:]):
-        best, below = here[r, state], below[r]
+        best, below = here[state, r], below[:, r]
         step = level.lin.size // level.width  # the state's transitions: state, state + step, ...
         for lin, state in zip(level.lin[state::step].tolist(), level.tails[state::step].tolist()):
             if below[state] + flat[lin] == best:
@@ -419,7 +427,7 @@ def _stack_pairs(rows: np.ndarray, choices: list[np.ndarray], picks: np.ndarray)
     state = np.zeros(len(picks), dtype=np.intp)
     lin = np.empty((len(picks), k // 2), dtype=np.intp)  # low * k + partner per level
     for t, (level, choice) in enumerate(zip(_plan(k), choices)):
-        move = choice[picks, state] * (level.lin.size // level.width) + state
+        move = choice[state, picks] * (level.lin.size // level.width) + state
         lin[:, t] = level.lin[move]
         state = level.tails[move]
     return rows[picks[:, None, None], np.stack(np.divmod(lin, k), axis=2)]
@@ -428,10 +436,11 @@ def _stack_pairs(rows: np.ndarray, choices: list[np.ndarray], picks: np.ndarray)
 # Calls solving fewer than this many transitions in all (index sets x
 # transitions per set) run the scalar memo: below it numpy's fixed cost per
 # level outweighs the memo's ~0.3 us per transition.  One oracle call
-# crosses over between 8 points (97 transitions: 28 us memo, 32 us batch)
-# and 10 (332: 97 vs 42 us).  For k_local_search plus its verdict, from
-# greedy on random sets (n = 8-16, k = 2-4), 300 was the fastest or within
-# ~10 % of the fastest of 60, 120, 300, 600, 1200 and "never batch".  The
+# breaks even at 8 points (97 transitions: 24-27 us either way) and
+# batches ahead at 10 (332: 92-108 vs 30-33 us).  For k_local_search plus
+# its verdict, from greedy on random sets (n = 8-16, k = 2-4, 4 sets per
+# size), 300 took 23.3 ms, within 4 % of the fastest of 60, 120, 300, 600,
+# 1200 and "never batch" (600: 22.5 ms; 60: 28.8; never: 39.4).  The
 # miner's single calls are smaller (at most 104 transitions), so it judges
 # its candidates in blocks of at least this much work: one batched call for
 # the block's oracles, then one ``_scan_rows`` call per search round (the
@@ -483,7 +492,7 @@ def optimal_matching(
         if not _batched(1, n):
             memo[objective] = Matching(_dp_optimal(ps.dist, range(n), objective)[1])
         else:
-            local = ps._dist_array[None]
+            local = ps._dist_array[:, :, None]
             values, _ = _batch_optimal(local, objective, False)
             memo[objective] = Matching(_row_pairs(local, values, 0, range(n)))
     return memo[objective]
@@ -598,13 +607,15 @@ def _chunk_rows(k: int) -> int:
 
 
 def _gather(D: np.ndarray, owner: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """``D[owner, i, j]``, broadcast over the rows of ``i`` and ``j``.  A
-    stack of one point set is indexed without the owners, which numpy
-    gathers faster: with them a clean 4-subset scan at 20 points took ~5 %
-    longer (shared 2-core 2.1 GHz Xeon VM, numpy 2.4)."""
+    """``D[owner, i, j]``, with ``owner`` shaped to broadcast against
+    ``i`` and ``j``.  A stack of one point set is indexed without the
+    owners, which numpy gathers faster: with them a clean 4-subset scan at
+    20 points took ~7 % longer (588 against 550 us, medians of 25
+    alternations; its (8, 8, 210) gather alone 70-75 against 59 us).
+    Shared 2-core 2.1 GHz Xeon VM, numpy 2.4."""
     if len(D) == 1:
         return D[0][i, j]
-    return D[owner.reshape(owner.shape + (1,) * (i.ndim - 1)), i, j]
+    return D[owner, i, j]
 
 
 def _scan_rows(
@@ -635,11 +646,12 @@ def _scan_rows(
     last = -1  # owner of the latest pick
     for lo in range(0, len(edges), step):
         e, o = edges[lo : lo + step], owner[lo : lo + step]
-        current = _sum_in_order(_gather(D, o, e[:, :, 0], e[:, :, 1]))
+        current = _sum_in_order(_gather(D, o[:, None], e[:, :, 0], e[:, :, 1]))
         rows = np.sort(e.reshape(len(e), 2 * k), axis=1)
-        local = _gather(D, o, rows[:, :, None], rows[:, None, :])
+        cols = rows.T  # the rows on the last axis, as _batch_optimal stacks them
+        local = _gather(D, o, cols[:, None], cols[None])
         values, choices = _batch_optimal(local, objective, len(D) > 1)
-        opt = values[0][:, 0]
+        opt = values[0][0]
         g = gap[lo : lo + len(e)] = opt - current if objective == "maximize" else current - opt
         hits = np.flatnonzero(g > limit[o])
         if hits.size > 1:  # each owner's first hit
@@ -875,7 +887,7 @@ def _batch_max_weight(D: np.ndarray) -> np.ndarray:
     out = np.empty(b)
     for lo in range(0, b, step):
         d = D[lo : lo + step]
-        _, choices = _batch_optimal(d, "maximize", True)
+        _, choices = _batch_optimal(np.ascontiguousarray(d.transpose(1, 2, 0)), "maximize", True)
         picks = np.arange(len(d))
         pairs = _stack_pairs(np.broadcast_to(np.arange(n), (len(d), n)), choices, picks)
         out[lo : lo + len(d)] = _sum_in_order(d[picks[:, None], pairs[:, :, 0], pairs[:, :, 1]])

@@ -810,6 +810,18 @@ class TestFingerhutCenter:
             assert min(w.multipliers) >= 0.0
             assert sum(w.multipliers) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [6, 12, 26])
+    def test_start_is_first_lowest(self, n):
+        # Each start is listed twice, as two tuple objects: the start taken
+        # is the very object min() takes, the first one with the lowest F.
+        for seed in range(20):
+            ps = gen_random(n, seed=98_000 + 100 * n + seed)
+            pieces = certificates._ellipse_pieces(k_local_search(ps, 2), ps)
+            starts = certificates._ellipse_starts(pieces)
+            starts += [(x, y) for x, y in starts]
+            want = min(starts, key=lambda p: max(pieces.values(*p)))
+            assert pieces.lowest(starts) is want
+
     def test_solver_result_is_checked_before_return(self, monkeypatch):
         ps, m = crossing_x()
         monkeypatch.setattr(

@@ -349,7 +349,7 @@ class TestBatchedOracle:
     def test_equal_to_memo_dp(self, objective):
         for name, ps in batch_instances():
             n = len(ps)
-            local = ps._dist_array[None]
+            local = ps._dist_array[:, :, None]
             values, choices = matching._batch_optimal(local, objective, True)
             want_w, want_pairs = matching._dp_optimal(ps.dist, range(n), objective)
             assert float(values[0][0, 0]).hex() == want_w.hex(), name
@@ -370,16 +370,34 @@ class TestBatchedOracle:
         rng = np.random.default_rng(7)
         for k in (2, 4, 6, 8):
             rows = np.sort(np.array([rng.choice(16, k, replace=False) for _ in range(40)]), axis=1)
-            local = ps._dist_array[rows[:, :, None], rows[:, None, :]]
+            local = ps._dist_array[rows.T[:, None], rows.T[None]]  # (k, k, 40)
             values, choices = matching._batch_optimal(local, objective, True)
             alone, _ = matching._batch_optimal(local, objective, False)
             stacked = matching._stack_pairs(rows, choices, np.arange(40))
             for r, row in enumerate(rows.tolist()):
                 want_w, want_pairs = matching._dp_optimal(ps.dist, row, objective)
-                assert float(values[0][r, 0]).hex() == want_w.hex()
-                assert float(alone[0][r, 0]).hex() == want_w.hex()
+                assert float(values[0][0, r]).hex() == want_w.hex()
+                assert float(alone[0][0, r]).hex() == want_w.hex()
                 assert matching._row_pairs(local, alone, r, row) == want_pairs
                 assert stacked[r].tolist() == [list(pair) for pair in want_pairs]
+
+    @pytest.mark.parametrize("objective", ["maximize", "minimize"])
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_stack_equals_each_row_alone(self, objective, k):
+        # Tie-rich rows (index sets of the 4x4 grid) at heights up to one
+        # past a chunk: each row's level values and arg-extrema on the stack
+        # are byte for byte those it gets solved alone.
+        ps = golden_instance("grid4x4")
+        rng = np.random.default_rng(11)
+        for height in (1, 2, matching._chunk_rows(k) + 1):
+            rows = np.sort(np.array([rng.choice(16, k, replace=False) for _ in range(height)]), axis=1)
+            local = ps._dist_array[rows.T[:, None], rows.T[None]]
+            values, choices = matching._batch_optimal(local, objective, True)
+            for r in range(height):
+                row = np.ascontiguousarray(local[:, :, r : r + 1])
+                alone, picks = matching._batch_optimal(row, objective, True)
+                assert [a[:, r].tobytes() for a in values] == [a[:, 0].tobytes() for a in alone]
+                assert [c[:, r].tobytes() for c in choices] == [c[:, 0].tobytes() for c in picks]
 
     def test_plan_sizes(self):
         plan = matching._plan(20)
@@ -422,7 +440,7 @@ class TestBatchedOracle:
         ps = gen_random(28, seed=5)
         want_w, want_pairs = matching._dp_optimal(ps.dist, range(28), "maximize")
         assert optimal_matching(ps, cap=14).pairs == want_pairs
-        values, _ = matching._batch_optimal(ps._dist_array[None], "maximize", False)
+        values, _ = matching._batch_optimal(ps._dist_array[:, :, None], "maximize", False)
         assert float(values[0][0, 0]).hex() == want_w.hex()
 
     def test_plan_arrays_read_only(self):
