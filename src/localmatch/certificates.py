@@ -533,20 +533,23 @@ def _qp_step(vals, grads, h, start, delta: float):
 
 def _trial_steps(pieces: _Pieces, x: float, y: float, dx: float, dy: float, grads, h, qp):
     """Trial steps from (x, y), each with the share of the predicted decrease
-    it must achieve: the Newton step d; its second-order correction c, which
-    folds each piece's curvature along d into its value and solves the
-    program again from `qp`, d's support and violation threshold; then
-    s d + s^2 (c - d) for s halved up to 40 times.  This arc bends with the
-    active pieces' level curves, which near an edge's endpoint curve on the
-    scale of the distance to it."""
-    yield 1.0, dx, dy
+    it must achieve and the pieces' values at the trial point: the Newton
+    step d; its second-order correction c, which folds each piece's
+    curvature along d into its value (read off the values at d, so each
+    trial point is evaluated once) and solves the program again from `qp`,
+    d's support and violation threshold; then s d + s^2 (c - d) for s
+    halved up to 40 times.  This arc bends with the active pieces' level
+    curves, which near an edge's endpoint curve on the scale of the
+    distance to it."""
     ahead = pieces.values(x + dx, y + dy)
+    yield 1.0, dx, dy, ahead
     shifted = [v - gx * dx - gy * dy for v, (gx, gy) in zip(ahead, grads)]
     cx, cy, _, _ = _qp_step(shifted, grads, h, *qp)
-    yield 1.0, cx, cy
+    yield 1.0, cx, cy, pieces.values(x + cx, y + cy)
     for i in range(1, 41):
         s = 0.5**i
-        yield s, s * dx + s * s * (cx - dx), s * dy + s * s * (cy - dy)
+        sx, sy = s * dx + s * s * (cx - dx), s * dy + s * s * (cy - dy)
+        yield s, sx, sy, pieces.values(x + sx, y + sy)
 
 
 def _newton_pieces(pieces: _Pieces, starts):
@@ -583,8 +586,8 @@ def _newton_pieces(pieces: _Pieces, starts):
         quiet = f - t <= noise
         if t >= f or (quiet and norm > settle / 2.0):
             return x, y, f, support, lam
-        for share, sx, sy in _trial_steps(pieces, x, y, dx, dy, grads, h, (support, noise)):
-            fn = max(pieces.values(x + sx, y + sy))
+        for share, sx, sy, ahead in _trial_steps(pieces, x, y, dx, dy, grads, h, (support, noise)):
+            fn = max(ahead)
             if (fn <= f + noise) if quiet else (fn < f and fn <= f - _ARMIJO * share * (f - t)):
                 x, y = x + sx, y + sy
                 break

@@ -8,6 +8,7 @@ or a failed certificate).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -31,7 +32,6 @@ from .generators import (
 from .io import (
     InstanceFormatError,
     certificate_to_dict,
-    crossing_report_to_dict,
     instance_from_objects,
     load_instance,
     mined_instance_to_dict,
@@ -130,7 +130,7 @@ def cmd_crossing(args) -> int:
     ps = inst.point_set()
     m = inst.matching_obj()
     report = full_crossing_report(ps, m, cap=args.cap)
-    _write_json(args.output, crossing_report_to_dict(report))
+    _write_json(args.output, dataclasses.asdict(report))
     return EXIT_OK
 
 

@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .certificates import Certificate
-from .crossing import CrossingReport
 from .generators import MinedInstance, MinerConfig
 from .geometry import Point
 from .matching import Matching, PointSet, RatioReport
@@ -26,7 +25,6 @@ __all__ = [
     "instance_from_objects",
     "ratio_report_to_dict",
     "certificate_to_dict",
-    "crossing_report_to_dict",
     "mined_instance_to_dict",
 ]
 
@@ -77,6 +75,11 @@ def instance_from_objects(
     )
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``json`` reads true and false as bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_points(raw) -> list[tuple[float, float]]:
     if not isinstance(raw, list):
         raise InstanceFormatError("'points' must be a list of [x, y] pairs")
@@ -84,10 +87,12 @@ def _parse_points(raw) -> list[tuple[float, float]]:
     for idx, entry in enumerate(raw):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise InstanceFormatError(f"point {idx} is not an [x, y] pair: {entry!r}")
+        if not all(_is_int(v) or isinstance(v, float) for v in entry):
+            raise InstanceFormatError(f"point {idx} has non-numeric coordinates")
         try:
             points.append((float(entry[0]), float(entry[1])))
-        except (TypeError, ValueError) as exc:
-            raise InstanceFormatError(f"point {idx} has non-numeric coordinates") from exc
+        except OverflowError as exc:
+            raise InstanceFormatError(f"point {idx} has a coordinate beyond float range") from exc
     return points
 
 
@@ -99,7 +104,7 @@ def _parse_matching(raw) -> list[tuple[int, int]]:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise InstanceFormatError(f"matching entry {idx} is not an [i, j] pair")
         i, j = entry
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (_is_int(i) and _is_int(j)):
             raise InstanceFormatError(f"matching entry {idx} has non-integer indices")
         pairs.append((i, j))
     return pairs
@@ -176,20 +181,6 @@ def certificate_to_dict(cert: Certificate) -> dict:
             {"edge": [i, j], "star_sum": lhs, "bound": rhs}
             for (i, j), lhs, rhs in cert.per_edge_checks
         ],
-    }
-
-
-def crossing_report_to_dict(report: CrossingReport) -> dict:
-    return {
-        "is_pairwise_crossing": report.is_pairwise_crossing,
-        "non_crossing_pair": (
-            [list(report.non_crossing_pair[0]), list(report.non_crossing_pair[1])]
-            if report.non_crossing_pair is not None
-            else None
-        ),
-        "balance_ok": report.balance_ok,
-        "unique": report.unique,
-        "globally_maximum": report.globally_maximum,
     }
 
 

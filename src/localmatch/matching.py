@@ -15,8 +15,10 @@ The sweep keeps each level's optimum values.  A caller that reads one
 row's pairs (the oracle, a single set's scan) re-forms that row's path
 from them (``_row_pairs``); only stacks of several point sets, whose pairs
 are read for many rows, keep each level's arg-extrema as well.  Every
-batched locality scan, one point set's or a lockstep search's, runs
-through one kernel, ``_scan_rows``.
+batched locality scan runs through one kernel, ``_scan_rows``, which hands
+back its rematches as pair tuples on every stack: one point set's scan
+(``_scan_k_subsets``, in growing blocks) and the miner's lockstep search
+(``_batch_k_local_search``) read them alike.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator, Literal, NamedTuple, Optional, Sequence
 
@@ -573,13 +575,29 @@ def _scan_k_subsets(
     endpoints, together with the optimal re-matching; None if k-local.
 
     Subsets are scanned in lexicographic order over the sorted edge list,
-    so reports are deterministic.  Enough subsets are solved together by
-    ``_batch_optimal``, with the same first violation and rematch as the
-    one-by-one loop.
+    so reports are deterministic.  Scans with enough work in all
+    (``_batched``) run in blocks through ``_scan_rows``, with the same
+    arithmetic and so the same first violation and rematch as the
+    one-by-one loop.  Blocks grow 4x from the crossover size, so a
+    violation among the first subsets (the common case inside
+    k_local_search) costs about one small batch, and a clean scan a few
+    batch calls more than one.  Each block's edge positions are read
+    straight off the lazy ``combinations``, so a scan that stops early
+    builds no later block.
     """
     threshold = DEFAULT_TOL.eps_geom * weight(m, ps)
     if _batched(math.comb(len(m), k), 2 * k):
-        return _scan_batched(ps, m, k, threshold, objective)
+        D, pairs, limit = ps._dist_array[None], np.array(m.pairs), np.array([threshold])
+        flat = itertools.chain.from_iterable(itertools.combinations(range(len(m)), k))
+        size = -(-_BATCH_MIN_WORK // _transitions(2 * k))
+        while (block := np.fromiter(itertools.islice(flat, size * k), np.intp)).size:
+            block = block.reshape(-1, k)
+            owner = np.zeros(len(block), dtype=np.intp)
+            _, picks, rematch = _scan_rows(D, owner, pairs[block], limit, objective)
+            if picks.size:
+                return tuple(m.pairs[c] for c in block[picks[0]].tolist()), rematch[0]
+            size *= 4
+        return None
     sign = 1.0 if objective == "maximize" else -1.0
     dist = ps.dist
     for subset in itertools.combinations(m.pairs, k):
@@ -620,7 +638,7 @@ def _gather(D: np.ndarray, owner: np.ndarray, i: np.ndarray, j: np.ndarray) -> n
 
 def _scan_rows(
     D: np.ndarray, owner: np.ndarray, edges: np.ndarray, limit: np.ndarray, objective: Objective
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[tuple[Pair, ...]]]:
     """The locality scan's one kernel: row r holds k edges ``edges[r]``
     (k, 2) of the point set ``D[owner[r]]``, and each owner's rows are
     consecutive, in scan order.
@@ -629,15 +647,13 @@ def _scan_rows(
     edges: ``opt - current`` when maximizing, ``current - opt`` when
     minimizing, where ``current`` sums the edges column by column in pair
     order, as ``_subset_weight`` adds them.  A row is a hit when its gap
-    exceeds ``limit[owner[r]]``.  Returns the (R,) gaps, the first hit row
-    of each owner that has one, and those rows' optimal rematches, each pair
-    sorted and the pairs in ``Matching`` order.  On a stack of one point set
-    (so h <= 1) the rematches are a list of h tuples of pairs, as
-    ``_scan_k_subsets`` gives them; on a stack of several, an (h, k, 2)
-    array.  A chunk's single hit is re-formed from the DP's values
-    (``_row_pairs``), several hits from its arg-extrema, which only stacks
-    of several point sets keep.  Rows run in chunks of
-    ``_chunk_rows(2 * k)``.
+    exceeds ``limit[owner[r]]``.  Returns the (R,) gaps, the (h,) first hit
+    row of each owner that has one, and a list of those rows' optimal
+    rematches, each a tuple of (int, int) pairs as ``_scan_k_subsets``
+    gives it: each pair sorted and the pairs in ``Matching`` order.  A
+    chunk's single hit is re-formed from the DP's values (``_row_pairs``),
+    several hits from its arg-extrema, which only stacks of several point
+    sets keep.  Rows run in chunks of ``_chunk_rows(2 * k)``.
     """
     k = edges.shape[1]
     step = _chunk_rows(2 * k)
@@ -655,7 +671,7 @@ def _scan_rows(
         g = gap[lo : lo + len(e)] = opt - current if objective == "maximize" else current - opt
         hits = np.flatnonzero(g > limit[o])
         if hits.size > 1:  # each owner's first hit
-            if o[0] == o[-1]:  # a chunk of one owner, as in a single set's scan
+            if o[0] == o[-1]:  # one owner, as in a single set's scan: ~4 of its ~50 us
                 hits = hits[:1]
             else:
                 held = o[hits]
@@ -666,44 +682,13 @@ def _scan_rows(
             continue
         last = o[hits[-1]]
         if hits.size > 1:
-            rematch.append(_stack_pairs(rows, choices, hits))
+            flat = iter(_stack_pairs(rows, choices, hits).ravel().tolist())
+            rematch += zip(*[zip(flat, flat)] * k)  # k pairs per hit, 3x a tuple() per row
         else:  # one row: the scalar read from the values is cheaper
             h = int(hits[0])
-            pairs = _row_pairs(local, values, h, rows[h].tolist())
-            rematch.append(pairs if len(D) == 1 else np.array([pairs]))
-        picks.append(lo + hits)
-    if len(D) == 1:  # one owner, so at most one hit
-        return gap, picks[0] if picks else np.empty(0, dtype=np.intp), rematch
-    if not picks:
-        return gap, np.empty(0, dtype=np.intp), np.empty((0, k, 2), dtype=np.intp)
-    if len(picks) == 1:
-        return gap, picks[0], rematch[0]
-    return gap, np.concatenate(picks), np.concatenate(rematch)
-
-
-def _scan_batched(
-    ps: PointSet, m: Matching, k: int, threshold: float, objective: Objective
-) -> Optional[tuple[tuple[Pair, ...], tuple[Pair, ...]]]:
-    """_scan_k_subsets' loop on blocks of subsets through ``_scan_rows``,
-    in the same order and with the same arithmetic.
-
-    Blocks grow 4x from the crossover size, so a violation among the first
-    subsets (the common case inside k_local_search) costs about one small
-    batch, and a clean scan a few batch calls more than one.
-    """
-    D = ps._dist_array[None]
-    pairs = np.array(m.pairs)
-    limit = np.array([threshold])
-    combos = itertools.combinations(range(len(m)), k)
-    size = -(-_BATCH_MIN_WORK // _transitions(2 * k))
-    while block := list(itertools.islice(combos, size)):
-        owner = np.zeros(len(block), dtype=np.intp)
-        _, picks, rematch = _scan_rows(D, owner, pairs[np.array(block)], limit, objective)
-        if picks.size:
-            subset = tuple(m.pairs[c] for c in block[int(picks[0])])
-            return subset, rematch[0]
-        size *= 4
-    return None
+            rematch.append(_row_pairs(local, values, h, rows[h].tolist()))
+        picks += (lo + hits).tolist()
+    return gap, np.array(picks, dtype=np.intp), rematch
 
 
 def _scan(
@@ -870,7 +855,7 @@ def _batch_k_local_search(
             break
         swap = row[picks]
         swapped = held[swap]
-        swapped[np.arange(len(swap))[:, None], combos[col[picks]]] = rematch  # a list if b == 1
+        swapped[np.arange(len(swap))[:, None], combos[col[picks]]] = rematch
         order = np.argsort(swapped[:, :, 0], axis=1)
         active = active[swap]
         pairs[active] = np.take_along_axis(swapped, order[:, :, None], axis=1)
@@ -954,14 +939,7 @@ def ratio_report(
 ) -> RatioReport:
     """Weight of m versus the exact maximum, plus the k-locality verdict."""
     _check_perfect(m, ps)
-    opt = optimal_matching(ps, "maximize", cap)
-    w_local = weight(m, ps)
-    w_global = weight(opt, ps)
-    locality = _is_k_local(ps, m, k, "maximize")
-    return RatioReport(
-        weight_local=w_local,
-        weight_global=w_global,
-        ratio=w_local / w_global if w_global > 0 else 1.0,
-        k_verified=k,
-        violating_subset=locality.violating_subset,
-    )
+    w_global = weight(optimal_matching(ps, "maximize", cap), ps)
+    report = _is_k_local(ps, m, k, "maximize")
+    ratio = report.weight_local / w_global if w_global > 0 else 1.0
+    return replace(report, weight_global=w_global, ratio=ratio)

@@ -54,10 +54,23 @@ class TestInstanceIO:
         with pytest.raises(InstanceFormatError):
             load_instance(path)
 
-    def test_bad_points(self, tmp_path):
-        path = write_json(tmp_path / "bad.json", {"points": [[0, 0], [1]]})
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            {"points": [[0, 0], [1]]},
+            {"points": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]},
+            {"points": [[0, 0], [1, 0], [0, True], [1, 1]]},
+            {"points": [[0, 0], [1, 0], [0, 1], [10**400, 1]]},  # an integer beyond float range
+            {**SQUARE, "matching": [[True, 2], [False, 3]]},
+            {**SQUARE, "matching": [[0.0, 2], [1, 3]]},
+        ],
+        ids=["short", "strings", "boolean", "overflow", "boolean-indices", "float-indices"],
+    )
+    def test_bad_points(self, tmp_path, instance):
+        path = write_json(tmp_path / "bad.json", instance)
         with pytest.raises(InstanceFormatError):
             load_instance(path)
+        assert main(["solve", "--input", path]) == 1
 
     def test_matching_must_be_perfect(self, tmp_path):
         inst = InstanceFile(points=[(0, 0), (1, 0), (0, 1), (1, 1)], matching=[(0, 1)])

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from localmatch import matching
 from localmatch.certificates import certify
 from localmatch.generators import MinerConfig, gen_circle_alternating, gen_random, mine_low_ratio
-from localmatch.geometry import Point
+from localmatch.geometry import DEFAULT_TOL, Point
 from localmatch.matching import (
     ENUMERATION_CAP,
     CapExceededError,
@@ -482,8 +482,9 @@ class TestBatchedLocalSearch:
             assert float(weights[r]).hex() == weight(want, ps).hex()
             assert float(optimum[r]).hex() == weight(optimal_matching(ps), ps).hex()
             swapped += want != init
-            # A stack of one set, as when a block keeps one candidate: its
-            # scans hand back the rematch as pair tuples.
+            # A stack of one set, as when a block keeps one candidate, runs
+            # without arg-extrema (its scans re-form each rematch from the
+            # DP's values) and gives the stacked row's result bit for bit.
             alone = matching._batch_k_local_search(
                 D[r : r + 1], init, k, unknown[:1], optimum[r : r + 1], math.inf)
             assert alone[0][0].tobytes() == pairs[r].tobytes()
@@ -582,16 +583,18 @@ class TestBatchedLocalSearch:
         limit = np.where(np.arange(len(sets)) % 3, 0.0, np.inf)  # every third owner never hits
 
         def run():
-            scan = matching._scan_rows(D, row, edges, limit, objective)
-            return (*scan, matching._batch_max_weight(D))
+            gap, picks, rematch = matching._scan_rows(D, row, edges, limit, objective)
+            return (gap, picks, matching._batch_max_weight(D)), rematch
 
-        want = run()
+        want, want_rematch = run()
         assert 0 < len(want[1]) < len(sets)  # some owners hit, not all
         assert len(np.unique(row[want[1]])) == len(want[1])
         for rows in (1, 2, 5):
             monkeypatch.setattr(matching, "_chunk_rows", lambda k: rows)
-            for a, b in zip(run(), want):
+            got, rematch = run()
+            for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
+            assert rematch == want_rematch
 
 
 def scan(ps, m, k, objective, min_work, monkeypatch):
@@ -626,6 +629,32 @@ class TestBatchedScan:
             else:
                 below += 1
         assert below and above
+
+    @pytest.mark.parametrize("objective", ["maximize", "minimize"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_stack_rematch_equals_one_set_scan(self, objective, k):
+        # On a stack of several point sets each owner's first hit and its
+        # rematch, read off the arg-extrema, are the single-set scan's, in
+        # its form: a tuple of (int, int) tuples.  Every third owner holds
+        # its optimum, whose scan is clean.
+        sets = [gen_random(8, seed=700 + seed) for seed in range(12)]
+        init = Matching((2 * i, 2 * i + 1) for i in range(4))
+        ms = [optimal_matching(ps, objective) if r % 3 == 0 else init for r, ps in enumerate(sets)]
+        D = np.array([ps._dist_array for ps in sets])
+        combos = matching._combos(4, k)
+        row, col = np.divmod(np.arange(len(sets) * len(combos)), len(combos))
+        edges = np.array([m.pairs for m in ms])[row[:, None], combos[col]]
+        limit = np.array([DEFAULT_TOL.eps_geom * weight(m, ps) for m, ps in zip(ms, sets)])
+        _, picks, rematch = matching._scan_rows(D, row, edges, limit, objective)
+        assert 1 < len(picks) < len(sets) and len(rematch) == len(picks)
+        got = {int(row[p]): (tuple(map(tuple, edges[p].tolist())), r) for p, r in zip(picks, rematch)}
+        for owner, (ps, m) in enumerate(zip(sets, ms)):
+            want = matching._scan_k_subsets(ps, m, k, objective)
+            assert got.get(owner) == want, owner
+            if want:
+                pairs = got[owner][1]
+                assert type(pairs) is tuple
+                assert all(type(pair) is tuple and type(i) is int for pair in pairs for i in pair)
 
     def test_circle_verdicts_pin_criterion_9(self, monkeypatch):
         # Criterion 9's threshold from both sides, by both scans: adjacent
