@@ -5,6 +5,8 @@ low-ratio k-local maximum matchings.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -14,7 +16,6 @@ import numpy as np
 from .certificates import DiskFamily
 from .geometry import Disk, Point, orientation
 from .matching import (
-    _BATCH_MIN_WORK,
     DEFAULT_ORACLE_CAP,
     Matching,
     PointSet,
@@ -230,12 +231,36 @@ class MinedInstance:
 
 
 class _WarmStart(NamedTuple):
-    """A point set's warm start: its k-local matching, ratio, and the gap of
-    every k-subset of the matching from the scan that found it clean."""
+    """A point set's warm start: its k-local matching, ratio, the gap of
+    every k-subset of the matching from the scan that found it clean, and
+    each point's edge in the matching (its position in ``matching.pairs``)."""
 
     matching: Matching
     ratio: float
     gaps: np.ndarray
+    edge_of: np.ndarray
+
+
+def _warm_start(pairs: np.ndarray, ratio: float, gaps: np.ndarray) -> _WarmStart:
+    """The warm start of a search's (n // 2, 2) pairs, its ratio and its
+    last, clean round's gaps."""
+    edge_of = np.empty(pairs.size, dtype=np.intp)
+    edge_of[pairs.ravel()] = np.arange(len(pairs)).repeat(2)
+    return _WarmStart(Matching(pairs.tolist()), float(ratio), gaps, edge_of)
+
+
+# Work, in oracle and scan transitions, of a restart's first look-ahead
+# block and of the first after each accept (see mine_low_ratio): 28
+# candidates at k = 2 on 6 points, 6 at k = 3 on 8.  A ``_judge`` call has a
+# fixed cost whatever its size (one batched oracle call, then per search
+# round one ``_scan_rows`` call and the swaps' bookkeeping): on moves of
+# mined sets it took 150 us for 7 candidates and 852 us for 448 at k = 2 on
+# 6 points, 233 and 1,802 us at k = 3 on 8.  The benchmark's 80 miner runs
+# took (CPU seconds, medians of 24 alternations in one process) 0.412 at
+# 300, 0.388 at 600, 0.358 at 1200, 0.364 at 2400 and 0.384 at 4800;
+# criterion 8's two runs did not separate 600 to 4800 beyond their noise.
+# Shared 2-core 2.1 GHz Xeon VM, Python 3.11, numpy 2.4.
+_FIRST_BLOCK_WORK = 1200
 
 
 def _search_ratios(
@@ -254,19 +279,36 @@ def _search_ratios(
     return pairs, gaps, w_local / optimum
 
 
+@functools.cache
+def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, built once per size."""
+    return np.triu_indices(n, 1)
+
+
+@functools.cache
+def _holding(edges: int, k: int) -> np.ndarray:
+    """(edges, C): whether each k-subset of ``edges`` edge positions, in
+    ``_combos`` order, holds each edge."""
+    return (_combos(edges, k)[None] == np.arange(edges)[:, None, None]).any(axis=2)
+
+
 def _moved_dists(ps: PointSet, moves: list[tuple[int, tuple[float, float]]]) -> np.ndarray:
     """(B, n, n): `ps`'s distance array once per move (point index, new
     coordinates), with the moved point's row and column recomputed by
-    ``math.dist`` as ``PointSet.dist`` computes them."""
+    ``math.dist`` as ``PointSet.dist`` computes them.  All of the block's
+    (move, point) distances run through one ``map``: at 448 moves of 8
+    points 347 against 553 us for one list per move (best of 9, shared
+    2-core 2.1 GHz Xeon VM).  A numpy distance would change bits:
+    ``np.hypot`` differs from ``math.dist`` on 11,425 of 2,000,000 random
+    pairs in the unit square."""
     coords = ps.coords
-    moved = []
-    for i, xy in moves:
-        row = [math.dist(xy, c) for c in coords]
-        row[i] = 0.0
-        moved.append(row)
-    D = np.repeat(ps._dist_array[None], len(moves), axis=0)
-    b, idx = np.arange(len(moves)), np.array([i for i, _ in moves])
-    D[b, idx] = D[b, :, idx] = np.array(moved)
+    n, b = len(coords), len(moves)
+    starts = itertools.chain.from_iterable(itertools.repeat(xy, n) for _, xy in moves)
+    moved = np.fromiter(map(math.dist, starts, coords * b), np.float64, b * n).reshape(b, n)
+    rows, idx = np.arange(b), np.fromiter((i for i, _ in moves), np.intp, b)
+    moved[rows, idx] = 0.0
+    D = np.repeat(ps._dist_array[None], b, axis=0)
+    D[rows, idx] = D[rows, :, idx] = moved
     return D
 
 
@@ -294,18 +336,15 @@ def _judge(
     """
     n = len(ps)
     D = _moved_dists(ps, moves)
-    upper = np.triu_indices(n, 1)
+    upper = _upper(n)
     spans = D[:, upper[0], upper[1]]  # every gap of each candidate
     kept = np.flatnonzero(~_coincide(spans.min(axis=1), spans.max(axis=1)))
     if not kept.size:
         return None
     if kept.size < len(moves):
         D = D[kept]
-    edge_of = np.empty(n, dtype=np.intp)  # each point's edge in the warm start
-    edge_of[np.array(warm.matching.pairs).ravel()] = np.arange(n // 2).repeat(2)
-    moved_edge = edge_of[[moves[pos][0] for pos in kept]]
-    holds = (_combos(n // 2, k)[None] == moved_edge[:, None, None]).any(axis=2)  # (B, C)
-    known = np.where(holds, np.nan, warm.gaps)
+    moved = np.fromiter((i for i, _ in moves), np.intp, len(moves))[kept]
+    known = np.where(_holding(n // 2, k)[warm.edge_of[moved]], np.nan, warm.gaps)
     pairs, gaps, ratios = _search_ratios(D, warm.matching, k, known, warm.ratio)
     better = np.flatnonzero(ratios < warm.ratio)
     if not better.size:
@@ -315,8 +354,7 @@ def _judge(
     i, (x, y) = moves[pos]
     points = list(ps.points)
     points[i] = Point(x, y)
-    warm = _WarmStart(Matching(pairs[row].tolist()), float(ratios[row]), gaps[row])
-    return pos, PointSet(points), warm
+    return pos, PointSet(points), _warm_start(pairs[row], ratios[row], gaps[row])
 
 
 def mine_low_ratio(cfg: MinerConfig, progress=None) -> MinedInstance:
@@ -341,10 +379,12 @@ def mine_low_ratio(cfg: MinerConfig, progress=None) -> MinedInstance:
     normal z, and its noise is ``0.0 + scale * z``, which equals
     ``normal(0.0, scale)`` bit for bit; so the scale can change after an
     accept without reordering the stream, and the results are those of
-    judging one step at a time.  Blocks start at the batch crossover
-    (``_BATCH_MIN_WORK`` transitions), grow 4x while nothing is accepted,
-    start over after an accept, and never exceed the work of one oracle
-    call at ``DEFAULT_ORACLE_CAP``.
+    judging one step at a time.  Blocks start at ``_FIRST_BLOCK_WORK``
+    transitions, sized by what a ``_judge`` call costs whatever its size,
+    grow 4x while nothing is accepted, start over after an accept, and
+    never exceed the work of one oracle call at ``DEFAULT_ORACLE_CAP``.
+    The schedule decides only how many draws one call judges, never the
+    result.
 
     A block's searches are bounded by the current ratio: a candidate whose
     ``weight / optimum`` already reaches it, at the warm matching or after
@@ -356,7 +396,7 @@ def mine_low_ratio(cfg: MinerConfig, progress=None) -> MinedInstance:
     """
     n, k = cfg.num_points, cfg.k
     work = _transitions(n) + math.comb(n // 2, k) * _transitions(2 * k)  # oracle + full scan
-    first_block = -(-_BATCH_MIN_WORK // work)
+    first_block = -(-_FIRST_BLOCK_WORK // work)
     max_block = max(1, _transitions(2 * DEFAULT_ORACLE_CAP) // work)
     best: tuple[float, int, PointSet, Matching] | None = None
     total_iterations = 0
@@ -366,7 +406,7 @@ def mine_low_ratio(cfg: MinerConfig, progress=None) -> MinedInstance:
         unknown = np.full((1, math.comb(n // 2, k)), np.nan)
         D = ps._dist_array[None]
         pairs, gaps, ratios = _search_ratios(D, greedy_matching(ps), k, unknown, math.inf)
-        warm = _WarmStart(Matching(pairs[0].tolist()), float(ratios[0]), gaps[0])
+        warm = _warm_start(pairs[0], ratios[0], gaps[0])
         accepted = 0
         draws: list[tuple[int, float]] = []  # (coordinate, z) not yet judged
         done = 0

@@ -16,9 +16,10 @@ row's pairs (the oracle, a single set's scan) re-forms that row's path
 from them (``_row_pairs``); only stacks of several point sets, whose pairs
 are read for many rows, keep each level's arg-extrema as well.  Every
 batched locality scan runs through one kernel, ``_scan_rows``, which hands
-back its rematches as pair tuples on every stack: one point set's scan
-(``_scan_k_subsets``, in growing blocks) and the miner's lockstep search
-(``_batch_k_local_search``) read them alike.
+back its hits' rematches as one (h, k, 2) array on every stack: the
+miner's lockstep search (``_batch_k_local_search``) assigns it into its
+swaps as it is, and one point set's scan (``_scan_k_subsets``, in growing
+blocks) turns its single hit into the pair tuples it returns.
 """
 
 from __future__ import annotations
@@ -432,7 +433,9 @@ def _stack_pairs(rows: np.ndarray, choices: list[np.ndarray], picks: np.ndarray)
         move = choice[state, picks] * (level.lin.size // level.width) + state
         lin[:, t] = level.lin[move]
         state = level.tails[move]
-    return rows[picks[:, None, None], np.stack(np.divmod(lin, k), axis=2)]
+    at = np.empty((len(picks), k // 2, 2), dtype=np.intp)  # (low, partner) positions
+    np.divmod(lin, k, out=(at[:, :, 0], at[:, :, 1]))
+    return rows[picks[:, None, None], at]
 
 
 # Calls solving fewer than this many transitions in all (index sets x
@@ -442,15 +445,9 @@ def _stack_pairs(rows: np.ndarray, choices: list[np.ndarray], picks: np.ndarray)
 # batches ahead at 10 (332: 92-108 vs 30-33 us).  For k_local_search plus
 # its verdict, from greedy on random sets (n = 8-16, k = 2-4, 4 sets per
 # size), 300 took 23.3 ms, within 4 % of the fastest of 60, 120, 300, 600,
-# 1200 and "never batch" (600: 22.5 ms; 60: 28.8; never: 39.4).  The
-# miner's single calls are smaller (at most 104 transitions), so it judges
-# its candidates in blocks of at least this much work: one batched call for
-# the block's oracles, then one ``_scan_rows`` call per search round (the
-# first round holds only the subsets with the moved point's edge) over the
-# candidates that can still lower the ratio, each split into chunks of
-# ``_chunk_rows`` on large blocks; criterion 8's two configurations take
-# 0.9-1.9 s and 0.65-1.0 s.  Shared 2-core 2.1 GHz Xeon VM, Python 3.11,
-# numpy 2.4.
+# 1200 and "never batch" (600: 22.5 ms; 60: 28.8; never: 39.4).  Shared
+# 2-core 2.1 GHz Xeon VM, Python 3.11, numpy 2.4.  (The miner sizes its
+# look-ahead blocks by its own rule: ``generators._FIRST_BLOCK_WORK``.)
 _BATCH_MIN_WORK = 300
 
 
@@ -595,7 +592,8 @@ def _scan_k_subsets(
             owner = np.zeros(len(block), dtype=np.intp)
             _, picks, rematch = _scan_rows(D, owner, pairs[block], limit, objective)
             if picks.size:
-                return tuple(m.pairs[c] for c in block[picks[0]].tolist()), rematch[0]
+                subset = tuple(m.pairs[c] for c in block[picks[0]].tolist())
+                return subset, tuple(map(tuple, rematch[0].tolist()))
             size *= 4
         return None
     sign = 1.0 if objective == "maximize" else -1.0
@@ -638,7 +636,7 @@ def _gather(D: np.ndarray, owner: np.ndarray, i: np.ndarray, j: np.ndarray) -> n
 
 def _scan_rows(
     D: np.ndarray, owner: np.ndarray, edges: np.ndarray, limit: np.ndarray, objective: Objective
-) -> tuple[np.ndarray, np.ndarray, list[tuple[Pair, ...]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The locality scan's one kernel: row r holds k edges ``edges[r]``
     (k, 2) of the point set ``D[owner[r]]``, and each owner's rows are
     consecutive, in scan order.
@@ -648,12 +646,12 @@ def _scan_rows(
     minimizing, where ``current`` sums the edges column by column in pair
     order, as ``_subset_weight`` adds them.  A row is a hit when its gap
     exceeds ``limit[owner[r]]``.  Returns the (R,) gaps, the (h,) first hit
-    row of each owner that has one, and a list of those rows' optimal
-    rematches, each a tuple of (int, int) pairs as ``_scan_k_subsets``
-    gives it: each pair sorted and the pairs in ``Matching`` order.  A
-    chunk's single hit is re-formed from the DP's values (``_row_pairs``),
-    several hits from its arg-extrema, which only stacks of several point
-    sets keep.  Rows run in chunks of ``_chunk_rows(2 * k)``.
+    row of each owner that has one, and those rows' optimal rematches as
+    one (h, k, 2) array: each pair sorted and the pairs in ``Matching``
+    order.  A chunk's single hit is re-formed from the DP's values
+    (``_row_pairs``), several hits from its arg-extrema, which only stacks
+    of several point sets keep.  Rows run in chunks of
+    ``_chunk_rows(2 * k)``.
     """
     k = edges.shape[1]
     step = _chunk_rows(2 * k)
@@ -682,12 +680,12 @@ def _scan_rows(
             continue
         last = o[hits[-1]]
         if hits.size > 1:
-            flat = iter(_stack_pairs(rows, choices, hits).ravel().tolist())
-            rematch += zip(*[zip(flat, flat)] * k)  # k pairs per hit, 3x a tuple() per row
+            rematch.append(_stack_pairs(rows, choices, hits))
         else:  # one row: the scalar read from the values is cheaper
             h = int(hits[0])
-            rematch.append(_row_pairs(local, values, h, rows[h].tolist()))
+            rematch.append(np.array([_row_pairs(local, values, h, rows[h].tolist())]))
         picks += (lo + hits).tolist()
+    rematch = np.concatenate(rematch) if rematch else np.empty((0, k, 2), dtype=np.intp)
     return gap, np.array(picks, dtype=np.intp), rematch
 
 
@@ -855,10 +853,10 @@ def _batch_k_local_search(
             break
         swap = row[picks]
         swapped = held[swap]
-        swapped[np.arange(len(swap))[:, None], combos[col[picks]]] = rematch
-        order = np.argsort(swapped[:, :, 0], axis=1)
+        each = np.arange(len(swap))[:, None]
+        swapped[each, combos[col[picks]]] = rematch
         active = active[swap]
-        pairs[active] = np.take_along_axis(swapped, order[:, :, None], axis=1)
+        pairs[active] = swapped[each, np.argsort(swapped[:, :, 0], axis=1)]
         gaps[active] = np.nan
     return pairs, weights, gaps
 

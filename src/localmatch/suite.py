@@ -303,8 +303,9 @@ def pairwise_crossing(scale: int) -> Verdict:
 
 def upper_bound_mining(scale: int) -> Verdict:
     # The targets are existence claims reproduced by bounded heuristic search, so
-    # a missed target is soft. Budgets fit 600 s per configuration at ~0.01-0.025 ms per
-    # iteration (k = 2: 96,000 iterations in ~0.9-1.9 s; k = 3: 40,000 in ~0.65-1.0 s).
+    # a missed target is soft. Budgets fit 600 s per configuration at ~0.007-0.011 ms per
+    # iteration (k = 2: 96,000 iterations in ~0.67 s; k = 3: 40,000 in ~0.40-0.43 s; shared
+    # 2-core 2.1 GHz Xeon VM).
     checks: dict[str, bool] = {}
     soft: dict[str, bool] = {}
     details = []

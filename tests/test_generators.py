@@ -235,6 +235,42 @@ def test_miner_matches_recorded_runs(golden):
     assert calls == golden["progress"]
 
 
+@pytest.mark.parametrize("k, n, seed, budget", [(2, 6, 7, 900), (3, 8, 2, 1000)])
+def test_mined_result_does_not_depend_on_block_schedule(k, n, seed, budget, monkeypatch):
+    # The first block after an accept holds one candidate, the default
+    # number or 64 times that (capped by the budget); the mined points,
+    # pairs, ratio, iteration count and progress calls stay bit for bit.
+    # CI's two `localmatch mine` runs, with the larger step of the
+    # benchmark's miner: at the default step neither accepts a move.
+    judge = generators._judge
+    default = generators._FIRST_BLOCK_WORK
+
+    def mine(first_block_work):
+        monkeypatch.setattr(generators, "_FIRST_BLOCK_WORK", first_block_work)
+        blocks, calls = [], []
+
+        def counted(ps, warm, k, moves):
+            blocks.append(len(moves))
+            return judge(ps, warm, k, moves)
+
+        monkeypatch.setattr(generators, "_judge", counted)
+        mined = mine_low_ratio(
+            MinerConfig(k, n, budget, restarts=2, step_scale=0.15, seed=seed),
+            progress=lambda restart, iteration, ratio: calls.append((restart, iteration, ratio.hex())),
+        )
+        points = [(p.x.hex(), p.y.hex()) for p in mined.point_set.points]
+        result = points, mined.local_matching.pairs, mined.ratio.hex(), mined.iterations_used, calls
+        return result, blocks
+
+    want, blocks = mine(default)
+    one, one_blocks = mine(1)
+    large, large_blocks = mine(64 * default)
+    assert one == want and large == want
+    assert len(want[4]) > 10  # accepts, after each of which the schedule starts over
+    assert len(one_blocks) > len(blocks) > len(large_blocks)  # three distinct schedules
+    assert one_blocks[0] == 1 and max(large_blocks) > max(blocks)
+
+
 def test_noise_identity():
     # The miner draws z = standard_normal() and scales it by the step it
     # uses, so the step can anneal between drawing and using z.  That
@@ -247,17 +283,24 @@ def test_noise_identity():
 
 
 def test_moved_dists_equal_point_set_dist():
-    ps = gen_random(8, seed=3)
-    rng = np.random.default_rng(0)
-    moves = []
-    for _ in range(20):
-        i = int(rng.integers(0, 8))
-        moves.append((i, (float(rng.uniform(-1, 2)), float(rng.uniform(-1, 2)))))
-    D = generators._moved_dists(ps, moves)
-    for row, (i, (x, y)) in enumerate(moves):
-        pts = list(ps.points)
-        pts[i] = Point(x, y)
-        assert D[row].tolist() == [list(r) for r in PointSet(pts).dist]
+    # A block's rows run through one map of math.dist; each candidate's
+    # distances stay PointSet's float for float, at every scale and on a
+    # block of more than 400 moves.
+    base = gen_random(8, seed=3)
+    for scale, count in itertools.product((1e-6, 1.0, 1e6), (20, 448)):
+        ps = PointSet([Point(p.x * scale, p.y * scale) for p in base.points])
+        rng = np.random.default_rng(0)
+        moves = []
+        for _ in range(count):
+            i = int(rng.integers(0, 8))
+            xy = float(rng.uniform(-1, 2)) * scale, float(rng.uniform(-1, 2)) * scale
+            moves.append((i, xy))
+        D = generators._moved_dists(ps, moves)
+        assert D.shape == (count, 8, 8)
+        for row, (i, (x, y)) in enumerate(moves):
+            pts = list(ps.points)
+            pts[i] = Point(x, y)
+            assert D[row].tolist() == [list(r) for r in PointSet(pts).dist], (scale, row)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
@@ -293,7 +336,7 @@ def test_judge_skips_exactly_the_moves_point_set_rejects(scale, monkeypatch):
     unknown = np.full((1, math.comb(3, k)), np.nan)
     D = ps._dist_array[None]
     pairs, gaps, ratios = generators._search_ratios(D, greedy_matching(ps), k, unknown, math.inf)
-    warm = generators._WarmStart(Matching(pairs[0].tolist()), float(ratios[0]), gaps[0])
+    warm = generators._warm_start(pairs[0], ratios[0], gaps[0])
     judged = []
 
     def record(D, init, k, gaps, incumbent):
@@ -327,7 +370,7 @@ def test_judge_equals_judging_each_move_alone(k):
         pairs, gaps, ratios = generators._search_ratios(
             D, mined.local_matching, k, unknown, math.inf
         )
-        warm = generators._WarmStart(Matching(pairs[0].tolist()), float(ratios[0]), gaps[0])
+        warm = generators._warm_start(pairs[0], ratios[0], gaps[0])
         assert warm.ratio == mined.ratio
         rng = np.random.default_rng([k, seed])
         moves = []

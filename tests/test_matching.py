@@ -583,18 +583,17 @@ class TestBatchedLocalSearch:
         limit = np.where(np.arange(len(sets)) % 3, 0.0, np.inf)  # every third owner never hits
 
         def run():
-            gap, picks, rematch = matching._scan_rows(D, row, edges, limit, objective)
-            return (gap, picks, matching._batch_max_weight(D)), rematch
+            return (*matching._scan_rows(D, row, edges, limit, objective), matching._batch_max_weight(D))
 
-        want, want_rematch = run()
+        want = run()
         assert 0 < len(want[1]) < len(sets)  # some owners hit, not all
         assert len(np.unique(row[want[1]])) == len(want[1])
+        assert want[2].shape == (len(want[1]), 2, 2) and want[2].dtype == np.intp
         for rows in (1, 2, 5):
             monkeypatch.setattr(matching, "_chunk_rows", lambda k: rows)
-            got, rematch = run()
+            got = run()
             for a, b in zip(got, want):
-                assert a.tobytes() == b.tobytes()
-            assert rematch == want_rematch
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def scan(ps, m, k, objective, min_work, monkeypatch):
@@ -634,9 +633,9 @@ class TestBatchedScan:
     @pytest.mark.parametrize("k", [2, 3])
     def test_stack_rematch_equals_one_set_scan(self, objective, k):
         # On a stack of several point sets each owner's first hit and its
-        # rematch, read off the arg-extrema, are the single-set scan's, in
-        # its form: a tuple of (int, int) tuples.  Every third owner holds
-        # its optimum, whose scan is clean.
+        # rematch, read off the arg-extrema as one (h, k, 2) array, are the
+        # single-set scan's, which returns them as a tuple of (int, int)
+        # tuples.  Every third owner holds its optimum, whose scan is clean.
         sets = [gen_random(8, seed=700 + seed) for seed in range(12)]
         init = Matching((2 * i, 2 * i + 1) for i in range(4))
         ms = [optimal_matching(ps, objective) if r % 3 == 0 else init for r, ps in enumerate(sets)]
@@ -646,13 +645,16 @@ class TestBatchedScan:
         edges = np.array([m.pairs for m in ms])[row[:, None], combos[col]]
         limit = np.array([DEFAULT_TOL.eps_geom * weight(m, ps) for m, ps in zip(ms, sets)])
         _, picks, rematch = matching._scan_rows(D, row, edges, limit, objective)
-        assert 1 < len(picks) < len(sets) and len(rematch) == len(picks)
-        got = {int(row[p]): (tuple(map(tuple, edges[p].tolist())), r) for p, r in zip(picks, rematch)}
+        assert 1 < len(picks) < len(sets)
+        assert rematch.shape == (len(picks), k, 2) and rematch.dtype == np.intp
+        got = {int(row[p]): (edges[p].tolist(), r.tolist()) for p, r in zip(picks, rematch)}
         for owner, (ps, m) in enumerate(zip(sets, ms)):
             want = matching._scan_k_subsets(ps, m, k, objective)
-            assert got.get(owner) == want, owner
-            if want:
-                pairs = got[owner][1]
+            if want is None:
+                assert owner not in got, owner
+                continue
+            assert got[owner] == ([list(p) for p in want[0]], [list(p) for p in want[1]]), owner
+            for pairs in want:
                 assert type(pairs) is tuple
                 assert all(type(pair) is tuple and type(i) is int for pair in pairs for i in pair)
 
