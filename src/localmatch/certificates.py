@@ -139,8 +139,15 @@ _PIVOT_RTOL = 1e-12
 
 
 def _disk_coordinates(df: DiskFamily) -> tuple[list[float], list[float], list[float]]:
-    disks = df.scaled_disks()
-    return [d.center.x for d in disks], [d.center.y for d in disks], [d.radius for d in disks]
+    """Centres and scaled radii of the family, the floats of
+    ``df.scaled_disks()`` without building its disks; a radius that
+    overflows raises the ``ValueError`` that building its disk would."""
+    disks = df.disks
+    r = [d.radius * df.scale for d in disks]
+    for radius in r:
+        if not math.isfinite(radius):
+            raise ValueError(f"disk radius must be a nonnegative real, got {radius}")
+    return [d.center.x for d in disks], [d.center.y for d in disks], r
 
 
 def _ascending_roots(a: float, b: float, c: float) -> list[float]:
@@ -282,15 +289,18 @@ class _Pieces:
 
     `length` is the unit in which point tolerances are judged, unchanged by
     rigid motions and relabelling: the largest distance between two foci,
-    or the largest of `radii`.  Every piece's gradient has norm at most
-    `lipschitz`.
+    or the largest of `radii`.  A caller that already knows the largest
+    span passes it as `span` (the ellipses of a perfect matching: the point
+    set's diameter); else every pair of foci is measured.  Every piece's
+    gradient has norm at most `lipschitz`.
     """
 
-    def __init__(self, foci, weights, offsets, radii):
+    def __init__(self, foci, weights, offsets, radii, span=None):
         self.foci, self.weights, self.offsets = foci, weights, offsets
         points = [p for fs in foci for p in fs]
-        spans = (math.dist(p, q) for p, q in itertools.combinations(points, 2))
-        self.length = max(max(radii), max(spans, default=0.0))
+        if span is None:
+            span = max((math.dist(p, q) for p, q in itertools.combinations(points, 2)), default=0.0)
+        self.length = max(max(radii), span)
         self.magnitude = max(max(abs(c) for p in points for c in p), max(radii))
         self.lipschitz = max(w * len(fs) for fs, w in zip(foci, weights))
 
@@ -324,6 +334,22 @@ class _Pieces:
                 best, lowest = p, f
         return best
 
+    def near_top(self, x: float, y: float, e: int, v: float) -> Optional[list[float]]:
+        """``self.values(x, y)`` when piece e is within v of the highest
+        there, ``vals[e] >= max(vals) - v``, else None.  Stops at the first
+        piece i with ``vals[e] < vals[i] - v``, which is exactly that test's
+        negation: float subtraction is monotone, so ``max(vals) - v`` is the
+        largest of the ``vals[i] - v``."""
+        p = (x, y)
+        own = self.weights[e] * sum(map(math.dist, (p, p), self.foci[e])) - self.offsets[e]
+        vals = []
+        for fs, w, r in zip(self.foci, self.weights, self.offsets):
+            val = w * sum(map(math.dist, (p, p), fs)) - r
+            if own < val - v:
+                return None
+            vals.append(val)
+        return vals
+
     def derivatives(self, x: float, y: float):
         """(value, gradient, Hessian (xx, xy, yy)) of every piece at (x, y);
         a focus within the rounding of the coordinates counts as at the
@@ -348,11 +374,15 @@ def _disk_pieces(cx, cy, r) -> _Pieces:
 
 
 def _ellipse_pieces(m: Matching, ps: PointSet) -> _Pieces:
+    # A perfect matching's foci are all the points, so their largest span is
+    # the diameter, the same float: the max of the same ``math.dist`` values
+    # (symmetric in its arguments) over the same pairs.
     return _Pieces(
         [(ps.coords[i], ps.coords[j]) for i, j in m.pairs],
         [1.0 / ps.dist[i][j] for i, j in m.pairs],
         [ENLARGEMENT_FACTOR] * len(m),
         [0.0],
+        ps.diameter if m.is_perfect_on(ps) else None,
     )
 
 
@@ -666,12 +696,13 @@ def fingerhut_center(m: Matching, ps: PointSet) -> CenterWitness:
     # that support within atol of such an endpoint; the lowest one replaces
     # the point unless worse by v.  Both happen only for optima within v of 1.
     atol = pieces.tolerance(DEFAULT_TOL.eps_geom)
-    limit = slack + atol * pieces.lipschitz
+    v = atol * pieces.lipschitz
+    limit = slack + v
     for e, ends in enumerate(pieces.foci):
         for p in ends:
             q = (x, y) if math.dist((x, y), p) <= atol else p
-            vals = pieces.values(*q)
-            if vals[e] >= max(vals) - atol * pieces.lipschitz and (q == (x, y) or max(vals) < limit):
+            vals = pieces.near_top(*q, e, v)
+            if vals is not None and (q == (x, y) or max(vals) < limit):
                 (x, y), slack, support, multipliers = q, max(vals), (e,), (1.0,)
                 limit = min(limit, slack)
     witness = CenterWitness(Point(float(x), float(y)), slack, "fingerhut", support, multipliers)

@@ -6,20 +6,23 @@ The oracle and the locality scans solve one subset recurrence: pair the
 lowest free index with each other free one.  Small calls run it as a
 scalar memo (``_dp_optimal``); larger ones run it level by level in numpy
 over a stack of distance arrays at once (``_batch_optimal``), with
-bit-for-bit the same weights and pairs.  A stack is a (k, k, B) array with
-its B rows on the last axis, so each level gathers whole rows of B values;
-a row is an index set of one point set (the oracle, the scans) or a whole
-point set (the miner's candidates, through ``_batch_k_local_search`` and
-``_batch_max_weight``).
-The sweep keeps each level's optimum values.  A caller that reads one
-row's pairs (the oracle, a single set's scan) re-forms that row's path
-from them (``_row_pairs``); only stacks of several point sets, whose pairs
-are read for many rows, keep each level's arg-extrema as well.  Every
-batched locality scan runs through one kernel, ``_scan_rows``, which hands
-back its hits' rematches as one (h, k, 2) array on every stack: the
-miner's lockstep search (``_batch_k_local_search``) assigns it into its
-swaps as it is, and one point set's scan (``_scan_k_subsets``, in growing
-blocks) turns its single hit into the pair tuples it returns.
+bit-for-bit the same weights and pairs.  A scalar scan of 2- or 3-subsets
+weighs each one by the recurrence written out on its 4 or 6 endpoints
+(``_optimum4``, ``_optimum6``), the memo's weight bit for bit, and runs
+the memo only for the first violating subset's rematch.  A stack is a
+(k, k, B) array with its B rows on the last axis, so each level gathers
+whole rows of B values; a row is an index set of one point set (the
+oracle, the scans) or a whole point set (the miner's candidates, through
+``_batch_k_local_search`` and ``_batch_max_weight``).  The sweep keeps
+each level's optimum values.  A caller that reads one row's pairs (the
+oracle, a single set's scan) re-forms that row's path from them
+(``_row_pairs``); only stacks of several point sets, whose pairs are read
+for many rows, keep each level's arg-extrema as well.  Every batched
+locality scan runs through one kernel, ``_scan_rows``, which hands back
+its hits' rematches as one (h, k, 2) array on every stack: the miner's
+lockstep search (``_batch_k_local_search``) assigns it into its swaps as
+it is, and one point set's scan (``_scan_k_subsets``, in growing blocks)
+turns its single hit into the pair tuples it returns.
 """
 
 from __future__ import annotations
@@ -277,6 +280,40 @@ def _dp_optimal(dist, indices: Sequence[int], objective: Objective) -> tuple[flo
     return total, tuple(pairs)
 
 
+def _optimum4(dist, ends, best) -> float:
+    """``_dp_optimal(dist, ends, objective)[0]`` on 4 sorted positions, with
+    `best` ``max`` or ``min``: the recurrence written out, 3 candidates
+    ``best(tail) + d(low, partner)``.  A pair's tail is its one distance
+    (the memo's ``0.0 + d``, the same float), and the optimum over the
+    candidates is the memo's strict-improvement value, so the weight is
+    ``_dp_optimal``'s bit for bit."""
+    a, b, c, d = ends
+    ra = dist[a]
+    return best(dist[c][d] + ra[b], dist[b][d] + ra[c], dist[b][c] + ra[d])
+
+
+def _optimum6(dist, ends, best) -> float:
+    """``_optimum4`` on 6 sorted positions: 5 candidates, each the best of
+    its 4-position tail's 3 candidates plus ``d(low, partner)``, the sums
+    the memo forms in the order it adds them."""
+    a, b, c, d, e, f = ends
+    ra, rb, rc, rd = dist[a], dist[b], dist[c], dist[d]
+    bc, bd, be, bf = rb[c], rb[d], rb[e], rb[f]
+    cd, ce, cf = rc[d], rc[e], rc[f]
+    de, df, ef = rd[e], rd[f], dist[e][f]
+    return best(
+        best(ef + cd, df + ce, de + cf) + ra[b],
+        best(ef + bd, df + be, de + bf) + ra[c],
+        best(ef + bc, cf + be, ce + bf) + ra[d],
+        best(df + bc, cf + bd, cd + bf) + ra[e],
+        best(de + bc, ce + bd, cd + be) + ra[f],
+    )
+
+
+# The scans' closed-form optima, by the number of edges in a subset.
+_CLOSED_FORMS = {2: _optimum4, 3: _optimum6}
+
+
 class _Level(NamedTuple):
     """One level of the recurrence: its S states all have ``width + 1`` free
     positions.  Transition ``j * S + s`` pairs state s's lowest free
@@ -449,6 +486,23 @@ def _stack_pairs(rows: np.ndarray, choices: list[np.ndarray], picks: np.ndarray)
 # 2-core 2.1 GHz Xeon VM, Python 3.11, numpy 2.4.  (The miner sizes its
 # look-ahead blocks by its own rule: ``generators._FIRST_BLOCK_WORK``.)
 _BATCH_MIN_WORK = 300
+# Index sets of 4 and 6 positions (the 2- and 3-subset scans) are weighed in
+# closed form (``_optimum4``, ``_optimum6``: 0.25 and 1.26 us a set, against
+# the memo's 2.96 and 8.53), so their scans batch only from this much work.
+# A clean scan of k_local_search's result, loop against batched (medians of
+# 3 sets x 31 runs): n = 12, k = 3 (20 subsets, 520 transitions) 41 against
+# 69 us; n = 14, k = 3 (35, 910) 70 against 79; n = 16, k = 3 (56, 1,456)
+# 117 against 111; n = 20, k = 3 (120, 3,120) 237 against 143; n = 32,
+# k = 2 (120, 720) 93 against 89; the 24-pair circle, k = 2 (276, 1,656)
+# 202 against 160.  Under other tenants' load the loop lost some ground
+# (n = 14, k = 3: 123-153 against 119-140 us).  A search's scans mostly
+# stop at an early violation, where the loop gains more: k_local_search
+# plus its verdict from greedy ran fastest with no batching at all at
+# n = 24-48 (k = 2) and 12-24 (k = 3).  So this batches only clean scans
+# the batch clearly wins, and keeps every scan of the certificate chain's
+# sizes (n <= 12) in the loop.  Shared 2-core 2.1 GHz Xeon VM, Python
+# 3.11, numpy 2.4.
+_CLOSED_MIN_WORK = 1500
 
 
 @functools.cache
@@ -463,7 +517,8 @@ def _transitions(k: int) -> int:
 
 def _batched(sets: int, k: int) -> bool:
     """Whether `sets` index sets of size k go to _batch_optimal."""
-    return sets * _transitions(k) >= _BATCH_MIN_WORK
+    work = sets * _transitions(k)
+    return work >= (_CLOSED_MIN_WORK if k // 2 in _CLOSED_FORMS else _BATCH_MIN_WORK)
 
 
 def optimal_matching(
@@ -572,15 +627,17 @@ def _scan_k_subsets(
     endpoints, together with the optimal re-matching; None if k-local.
 
     Subsets are scanned in lexicographic order over the sorted edge list,
-    so reports are deterministic.  Scans with enough work in all
-    (``_batched``) run in blocks through ``_scan_rows``, with the same
-    arithmetic and so the same first violation and rematch as the
-    one-by-one loop.  Blocks grow 4x from the crossover size, so a
-    violation among the first subsets (the common case inside
-    k_local_search) costs about one small batch, and a clean scan a few
-    batch calls more than one.  Each block's edge positions are read
-    straight off the lazy ``combinations``, so a scan that stops early
-    builds no later block.
+    so reports are deterministic.  The one-by-one loop weighs 2- and
+    3-subsets in closed form (``_CLOSED_FORMS``) and larger ones by the
+    memo, and solves the first violating subset's rematch by the memo.
+    Scans with enough work in all (``_batched``) run in blocks through
+    ``_scan_rows``, with the same arithmetic and so the same first
+    violation and rematch as the loop.  Blocks grow 4x from the memo's
+    crossover size (``_BATCH_MIN_WORK``), so a violation among the first
+    subsets (the common case inside k_local_search) costs about one small
+    batch, and a clean scan a few batch calls more than one.  Each block's
+    edge positions are read straight off the lazy ``combinations``, so a
+    scan that stops early builds no later block.
     """
     threshold = DEFAULT_TOL.eps_geom * weight(m, ps)
     if _batched(math.comb(len(m), k), 2 * k):
@@ -598,11 +655,18 @@ def _scan_k_subsets(
         return None
     sign = 1.0 if objective == "maximize" else -1.0
     dist = ps.dist
+    closed = _CLOSED_FORMS.get(k)
+    best = max if objective == "maximize" else min
     for subset in itertools.combinations(m.pairs, k):
-        endpoints = sorted(i for pair in subset for i in pair)
+        endpoints = sorted(sum(subset, ()))
         current = _subset_weight(dist, subset)
-        opt_w, opt_pairs = _dp_optimal(dist, endpoints, objective)
+        if closed is None:
+            opt_w, opt_pairs = _dp_optimal(dist, endpoints, objective)
+        else:
+            opt_w, opt_pairs = closed(dist, endpoints, best), None
         if sign * (opt_w - current) > threshold:
+            if opt_pairs is None:  # a closed form gives the weight alone
+                opt_pairs = _dp_optimal(dist, endpoints, objective)[1]
             return subset, opt_pairs
     return None
 

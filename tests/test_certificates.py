@@ -107,6 +107,16 @@ class TestDiskFamily:
         assert d.radius == 3.0
 
 
+    def test_overflowing_scaled_radius_raises(self):
+        # The witness solvers read the scaled radii without building the
+        # scaled disks, and still reject one that overflows.
+        df = DiskFamily((Disk(Point(0, 0), 1e308), Disk(Point(1, 0), 1.0)), scale=10.0)
+        with pytest.raises(ValueError, match="disk radius must be a nonnegative real, got inf"):
+            df.scaled_disks()
+        with pytest.raises(ValueError, match="disk radius must be a nonnegative real, got inf"):
+            common_point(df)
+
+
 class TestDiametralFamily:
     def test_single_edge_scale_one(self):
         ps = PointSet([Point(-1, 0), Point(1, 0)])
@@ -714,6 +724,36 @@ class TestQuadraticStep:
                 assert math.hypot(dx - rx, dy - ry) <= 1e-12 * scale, (vals, start)
                 assert 1 <= len(support) <= 3 and len(lam) == len(support)
                 assert min(lam) >= 0.0 and sum(lam) == pytest.approx(1.0, abs=1e-12)
+
+
+def foci_span(pieces):
+    """Largest distance between two foci of the pieces, over all pairs."""
+    points = [p for fs in pieces.foci for p in fs]
+    return max(math.dist(p, q) for p, q in itertools.combinations(points, 2))
+
+
+class TestEllipseLength:
+    """The Fingerhut pieces' length unit: a perfect matching's is read off
+    the point set's diameter, the same float as the largest span between
+    two foci; any other matching's is measured over its foci."""
+
+    def test_perfect_matching_takes_the_diameter(self):
+        for seed in range(40):
+            ps = gen_random(4 + 2 * (seed % 5), seed=71_000 + seed)
+            consecutive = Matching((2 * i, 2 * i + 1) for i in range(len(ps) // 2))
+            for m in (optimal_matching(ps), consecutive):
+                pieces = certificates._ellipse_pieces(m, ps)
+                assert pieces.length == foci_span(pieces) == ps.diameter
+
+    def test_partial_matching_measures_its_foci(self):
+        ps = points((0, 0), (1, 0), (0, 1), (1, 1), (10, 10), (-10, -10))
+        pieces = certificates._ellipse_pieces(Matching([(0, 1), (2, 3)]), ps)
+        assert pieces.length == foci_span(pieces) == math.sqrt(2.0) < ps.diameter
+        for seed in range(20):
+            ps = gen_random(8, seed=72_000 + seed)
+            partial = Matching(optimal_matching(ps).pairs[seed % 4 :][:2])
+            pieces = certificates._ellipse_pieces(partial, ps)
+            assert pieces.length == foci_span(pieces)
 
 
 class TestFingerhutCenter:

@@ -597,37 +597,106 @@ class TestBatchedLocalSearch:
 
 
 def scan(ps, m, k, objective, min_work, monkeypatch):
+    """``_scan_k_subsets`` with both selection constants at ``min_work``:
+    math.inf runs the loop, 1 the batched scan from one-subset blocks."""
     monkeypatch.setattr(matching, "_BATCH_MIN_WORK", min_work)
+    monkeypatch.setattr(matching, "_CLOSED_MIN_WORK", min_work)
     return matching._scan_k_subsets(ps, m, k, objective)
+
+
+def scan_cases(objective):
+    """(name, point set, k, matchings) for the scan tests: random sets of
+    6-20 points at k = 2-4, each with greedy (violations) and a matching
+    with a clean scan; the tie-rich 4x4 integer grid at k = 2-4; and
+    criterion 9's circles at 22 and 23 pairs, with their alternating
+    matching (violating and clean on the minimum side) and greedy."""
+    for i in range(48):
+        n = 6 + 2 * (i % 8)
+        k = min(2 + i % 3, n // 2)
+        ps = gen_random(n, seed=6000 + i)
+        if objective == "maximize":
+            clean = k_local_search(ps, k)
+        else:
+            clean = optimal_matching(ps, objective)
+        yield f"random{n}-{i}", ps, k, (greedy_matching(ps), clean)
+    grid = golden_instance("grid4x4")
+    for k in (2, 3, 4):
+        if objective == "maximize":
+            clean = k_local_search(grid, k)
+        else:
+            clean = optimal_matching(grid, objective)
+        yield f"grid4x4-k{k}", grid, k, (greedy_matching(grid), clean)
+    for pairs in (22, 23):
+        ps, red = gen_circle_alternating(pairs, 0.01)
+        yield f"circle{pairs}", ps, 2, (red, greedy_matching(ps))
 
 
 class TestBatchedScan:
     @pytest.mark.parametrize("objective", ["maximize", "minimize"])
     def test_equal_to_loop(self, objective, monkeypatch):
-        # Sizes on both sides of the selection constant: 3 x 6 = 18
-        # transitions (n = 6, k = 2) up to 210 x 97 (n = 20, k = 4).  Each
-        # side scans greedy (violations) and a matching with a clean scan.
-        below = above = 0
-        min_work = matching._BATCH_MIN_WORK
-        for i in range(48):
-            n = 6 + 2 * (i % 8)
-            k = min(2 + i % 3, n // 2)
-            ps = gen_random(n, seed=6000 + i)
-            if objective == "maximize":
-                clean = k_local_search(ps, k)
-            else:
-                clean = optimal_matching(ps, objective)
-            for m in (greedy_matching(ps), clean):
+        # Sizes on both sides of each selection constant: for the memo
+        # (k = 4), 1 x 97 transitions (n = 8) up to 210 x 97 (n = 20); for
+        # the closed forms, 3 x 6 (n = 6, k = 2) up to 253 x 6 (the 23-pair
+        # circle) and 120 x 26 (n = 20, k = 3).
+        sides = set()
+        for name, ps, k, ms in scan_cases(objective):
+            batched = matching._batched(math.comb(len(ps) // 2, k), 2 * k)
+            sides.add((k in matching._CLOSED_FORMS, batched))
+            for m in ms:
                 loop = scan(ps, m, k, objective, math.inf, monkeypatch)
                 batch = scan(ps, m, k, objective, 1, monkeypatch)
-                assert batch == loop, (n, k)
+                monkeypatch.undo()
+                assert batch == loop, name
                 if batch:  # the rematch as tuples of ints, as the loop gives it
                     assert all(type(i) is int for pair in batch[1] for i in pair)
-            if math.comb(n // 2, k) * matching._transitions(2 * k) >= min_work:
-                above += 1
-            else:
-                below += 1
-        assert below and above
+        assert sides == {(False, False), (False, True), (True, False), (True, True)}
+
+    @pytest.mark.parametrize("objective", ["maximize", "minimize"])
+    def test_closed_forms_equal_memo(self, objective):
+        # The closed forms' weight is the memo's bit for bit at 4 and 6
+        # positions: every index set of a random 12-point set and of the
+        # tie-rich 4x4 grid, and 600 drawn from each of criterion 9's
+        # circles at 22 and 23 pairs.
+        best = max if objective == "maximize" else min
+        rng = np.random.default_rng(17)
+        for ps in (gen_random(12, seed=6100), golden_instance("grid4x4")):
+            for k, closed in matching._CLOSED_FORMS.items():
+                for ends in itertools.combinations(range(len(ps)), 2 * k):
+                    want = matching._dp_optimal(ps.dist, ends, objective)[0]
+                    assert closed(ps.dist, ends, best).hex() == want.hex(), ends
+        for pairs in (22, 23):
+            ps = gen_circle_alternating(pairs, 0.01)[0]
+            for k, closed in matching._CLOSED_FORMS.items():
+                for _ in range(300):
+                    ends = sorted(rng.choice(len(ps), 2 * k, replace=False).tolist())
+                    want = matching._dp_optimal(ps.dist, ends, objective)[0]
+                    assert closed(ps.dist, ends, best).hex() == want.hex(), ends
+
+    @pytest.mark.parametrize("objective", ["maximize", "minimize"])
+    def test_loop_solves_only_the_violation(self, objective, monkeypatch):
+        # A k <= 3 loop scan runs the memo only for its first violating
+        # subset's rematch, which is the memo's pairs on its sorted
+        # endpoints; a clean scan runs it not at all.
+        solved, dp = [], matching._dp_optimal
+        monkeypatch.setattr(
+            matching, "_dp_optimal", lambda *args: solved.append(args[1]) or dp(*args)
+        )
+        violations = cleans = 0
+        for name, ps, k, ms in scan_cases(objective):
+            if k not in matching._CLOSED_FORMS:
+                continue
+            for m in ms:
+                solved.clear()
+                got = scan(ps, m, k, objective, math.inf, monkeypatch)
+                if got is None:
+                    cleans += 1
+                    assert solved == [], name
+                    continue
+                violations += 1
+                ends = sorted(i for pair in got[0] for i in pair)
+                assert solved == [ends], name
+                assert got[1] == dp(ps.dist, ends, objective)[1], name
+        assert violations and cleans
 
     @pytest.mark.parametrize("objective", ["maximize", "minimize"])
     @pytest.mark.parametrize("k", [2, 3])

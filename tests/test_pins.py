@@ -106,3 +106,30 @@ def test_mined_verified_and_certified_outputs_repeat(tmp_path, capsys):
     assert files["a"] == files["b"]
     slack = json.loads(files["a"][1])["witness"]["slack"]
     assert abs(slack - (-0.14677000743884183)) <= 1e-12, repr(slack)
+
+
+def test_mined_run_with_accepted_steps(tmp_path, capsys):
+    # The runs above end at ratio 1.0: no step lowers it at the default step
+    # scale.  At 0.15 this one accepts 22 steps and mines ratio
+    # 0.9461663333029263, so its digests pin the miner's accept path, and a
+    # 2-local verdict and certificate on a matching below the maximum.
+    config = ["--k", "2", "--n", "6", "--seed", "7", "--budget", "900", "--restarts", "2",
+              "--step-scale", "0.15"]
+    outputs = [tmp_path / f"mine-e.{side}.json" for side in "ab"]
+    for out in outputs:
+        run(capsys, "mine", *config, "--output", out)
+    mined = outputs[0]
+    assert mined.read_bytes() == outputs[1].read_bytes()
+    assert json.loads(mined.read_text())["metadata"]["provenance"]["ratio"] < 1.0
+    names = ("verify-e.json", "certify-e.json", "certify-e.svg")
+    verify, certify, svg = (tmp_path / name for name in names)
+    run(capsys, "verify", "--input", mined, "--k", 2, "--output", verify)
+    run(capsys, "certify", "--input", mined, "--kind", "local2", "--output", certify, "--svg", svg)
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (mined, verify, certify, svg)}
+    assert digests == {
+        "mine-e.a.json": "4a15f863e69967f7a90a7c3668c6b87b6e12f0bab4ab15ca7eb6465954cb6ba0",
+        "verify-e.json": "4c47b1464ed9bbf51a4f047cc75024c40467c7dfebe67c4bd802d2e22c6f49ec",
+        "certify-e.json": "c43922679cc6d570905746919e3ff27719f5b675addc520df4bd6e7e42a66b75",
+        "certify-e.svg": "54dd552e4bf9751063aa8324502ba10637fa245f188242294a4e08e37e1226dc",
+    }
