@@ -140,13 +140,12 @@ _PIVOT_RTOL = 1e-12
 
 def _disk_coordinates(df: DiskFamily) -> tuple[list[float], list[float], list[float]]:
     """Centres and scaled radii of the family, the floats of
-    ``df.scaled_disks()`` without building its disks; a radius that
-    overflows raises the ``ValueError`` that building its disk would."""
+    ``df.scaled_disks()`` without building its disks unless a radius
+    overflows, when building them raises that disk's ``ValueError``."""
     disks = df.disks
     r = [d.radius * df.scale for d in disks]
-    for radius in r:
-        if not math.isfinite(radius):
-            raise ValueError(f"disk radius must be a nonnegative real, got {radius}")
+    if not all(map(math.isfinite, r)):
+        df.scaled_disks()
     return [d.center.x for d in disks], [d.center.y for d in disks], r
 
 

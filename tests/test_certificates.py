@@ -106,7 +106,6 @@ class TestDiskFamily:
         assert d.center == Point(2, 3)
         assert d.radius == 3.0
 
-
     def test_overflowing_scaled_radius_raises(self):
         # The witness solvers read the scaled radii without building the
         # scaled disks, and still reject one that overflows.
