@@ -601,7 +601,10 @@ def _newton_pieces(pieces: _Pieces, starts):
         noise = pieces.lipschitz * pieces.tolerance(0.0)
         # The first step weights the top piece alone.
         weights = weights or {vals.index(f): 1.0}
-        hxx, hxy, hyy = (sum(l * hessians[m][e] for m, l in weights.items()) for e in range(3))
+        hxx = hxy = hyy = 0.0  # added left to right, not by the compensated ``sum``
+        for m, l in weights.items():
+            mxx, mxy, myy = hessians[m]
+            hxx, hxy, hyy = hxx + l * mxx, hxy + l * mxy, hyy + l * myy
         reg = _HESSIAN_RTOL * (hxx + hyy + pieces.lipschitz / pieces.length)
         h = (hxx + reg, hxy, hyy + reg)
         dx, dy, support, lam = _qp_step(vals, grads, h, tuple(weights), noise)
@@ -710,8 +713,13 @@ def fingerhut_center(m: Matching, ps: PointSet) -> CenterWitness:
 
 
 def star_weight(c: Point, ps: PointSet) -> float:
-    """Total length of the star connecting c to every point."""
-    return sum(distance(c, p) for p in ps.points)
+    """Total length of the star connecting c to every point, added left to
+    right as ``weight`` adds (``sum`` compensates float sums from Python
+    3.12 and would change bits)."""
+    total = 0.0
+    for p in ps.points:
+        total += distance(c, p)
+    return total
 
 
 _KIND_SETTINGS = {

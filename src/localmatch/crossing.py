@@ -56,15 +56,20 @@ class CrossingReport:
 
 def _left_of(ps: PointSet) -> tuple[tuple[int, ...], ...]:
     """left[a][b] is the bitmask of the points strictly left of the directed
-    line a -> b. One orientation call per point triple, made on the first
-    call for a point set and kept, read-only, in ``ps._memo``; a collinear
-    triple raises GeneralPositionError."""
+    line a -> b. One orientation call per point triple, in ``combinations``
+    order, made on the first call for a point set and kept, read-only, in
+    ``ps._memo``; the first collinear triple raises GeneralPositionError.
+    The triples index the point tuple itself: through ``ps[i]`` the three
+    method calls per triple cost about a fifth of the table (63 against
+    51 us at 10 points, timeit; shared 2-core 2.1 GHz Xeon VM, Python
+    3.11)."""
     memo = ps._memo
     if "left_of" not in memo:
-        n = len(ps)
+        pts = ps.points
+        n = len(pts)
         left = [[0] * n for _ in range(n)]
         for a, b, c in itertools.combinations(range(n), 3):
-            side = orientation(ps[a], ps[b], ps[c])
+            side = orientation(pts[a], pts[b], pts[c])
             if side == 0:
                 raise GeneralPositionError(f"points {a}, {b}, {c} are collinear")
             if side < 0:
@@ -188,9 +193,15 @@ def convex_diagonal_matching(ps: PointSet) -> Matching:
     n = len(ps)
     if n % 2 or n < 4:
         raise ValueError("need an even number of points, at least 4")
-    cx = sum(p.x for p in ps.points) / n
-    cy = sum(p.y for p in ps.points) / n
-    order = sorted(range(n), key=lambda i: math.atan2(ps[i].y - cy, ps[i].x - cx))
+    # The centroid is added left to right: ``sum`` compensates float sums
+    # from Python 3.12, which can move it by an ulp.
+    coords = ps.coords
+    cx = cy = 0.0
+    for x, y in coords:
+        cx += x
+        cy += y
+    cx, cy = cx / n, cy / n
+    order = sorted(range(n), key=lambda i: math.atan2(coords[i][1] - cy, coords[i][0] - cx))
     half = n // 2
     return Matching((order[t], order[t + half]) for t in range(half))
 

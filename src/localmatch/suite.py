@@ -35,6 +35,7 @@ from .generators import (
 from .geometry import Point, diameter_bound, distance, endpoint_bound
 from .matching import (
     Matching,
+    _subset_weight,
     cycle_decomposition,
     enumerate_matchings,
     is_k_local_max,
@@ -116,8 +117,8 @@ def k_local_theorem(scale: int) -> Verdict:
             min_ratio_margin = min(min_ratio_margin, ratio - (k - 1) / k)
             for cycle in cycle_decomposition(m, opt).cycles:
                 cycles += 1
-                w_m = sum(ps.dist[a][b] for a, b in cycle.first_edges())
-                w_star = sum(ps.dist[a][b] for a, b in cycle.second_edges())
+                w_m = _subset_weight(ps.dist, cycle.first_edges())
+                w_star = _subset_weight(ps.dist, cycle.second_edges())
                 min_cycle_margin = min(min_cycle_margin, k * w_m - (k - 1) * w_star)
     return Verdict(
         {

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localmatch import crossing
+from localmatch import crossing, geometry
 from localmatch.crossing import (
     GeneralPositionError,
     convex_diagonal_matching,
@@ -19,7 +19,7 @@ from localmatch.crossing import (
     verify_globally_maximum,
 )
 from localmatch.generators import gen_convex, gen_random
-from localmatch.geometry import Point
+from localmatch.geometry import Point, orientation
 from localmatch.matching import (
     Matching,
     PointSet,
@@ -48,14 +48,19 @@ def circle_points(n, seed):
     return PointSet([Point(math.cos(t), math.sin(t)) for t in angles])
 
 
-def jittered_lattice(n, seed):
-    """n distinct cells of a 4x4 unit lattice, each moved by at most 1e-6:
-    many nearly collinear triples and nearly parallel edges."""
+def jittered_lattice(n, seed, jitter=1e-6):
+    """n distinct cells of a 4x4 unit lattice, each moved by at most
+    `jitter`: many nearly collinear triples and nearly parallel edges."""
     rng = random.Random(seed)
     cells = rng.sample([(x, y) for x in range(4) for y in range(4)], n)
-    return PointSet(
-        [Point(x + rng.uniform(-1e-6, 1e-6), y + rng.uniform(-1e-6, 1e-6)) for x, y in cells]
-    )
+    moved = [(x + rng.uniform(-jitter, jitter), y + rng.uniform(-jitter, jitter)) for x, y in cells]
+    return PointSet([Point(x, y) for x, y in moved])
+
+
+def random_points(n, seed):
+    """n seeded uniform points in the unit square; any n, odd included."""
+    rng = random.Random(seed)
+    return PointSet([Point(rng.random(), rng.random()) for _ in range(n)])
 
 
 def brute_force_crossing(ps):
@@ -92,6 +97,58 @@ class TestIsPairwiseCrossing:
         ps = PointSet([Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 1)])
         with pytest.raises(GeneralPositionError):
             is_pairwise_crossing(ps, Matching([(0, 3), (1, 2)]))
+
+
+class TestLeftOfTable:
+    @staticmethod
+    def brute_force(ps):
+        """left[a][b] from ``orientation`` on every ordered triple."""
+        n = len(ps)
+        left = [[0] * n for _ in range(n)]
+        for a, b, c in itertools.permutations(range(n), 3):
+            if orientation(ps[a], ps[b], ps[c]) > 0:
+                left[a][b] |= 1 << c
+        return tuple(map(tuple, left))
+
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_random_sets(self, n):
+        for seed in range(3):
+            ps = random_points(n, seed=33_000 + 100 * n + seed)
+            assert crossing._left_of(ps) == self.brute_force(ps)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14])
+    def test_convex_sets(self, n):
+        ps = gen_convex(n, seed=33_500 + n)
+        assert crossing._left_of(ps) == self.brute_force(ps)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nearly_collinear_sets(self, seed, monkeypatch):
+        # Lattice triples a few ulps off a line: the float filter leaves
+        # some of them to the exact fallback.
+        ps = jittered_lattice(12, seed=33_700 + seed, jitter=1e-15)
+        exact = geometry._orientation_exact
+        calls = []
+        monkeypatch.setattr(
+            geometry, "_orientation_exact", lambda *args: calls.append(args) or exact(*args)
+        )
+        assert crossing._left_of(ps) == self.brute_force(ps)
+        assert calls
+
+    def test_first_collinear_triple_named(self):
+        # Two collinear triples, (0, 4, 5) on y = 0 and (1, 2, 3) on x = 1:
+        # the error names the first in lexicographic order, though its
+        # largest index comes last.
+        coords = [(0, 0), (1, 1), (1, 3), (1, 4), (2, 0), (5, 0)]
+        ps = PointSet([Point(x, y) for x, y in coords])
+        collinear = [
+            (a, b, c)
+            for a, b, c in itertools.combinations(range(6), 3)
+            if orientation(ps[a], ps[b], ps[c]) == 0
+        ]
+        assert collinear == [(0, 4, 5), (1, 2, 3)]
+        with pytest.raises(GeneralPositionError, match="^points 0, 4, 5 are collinear$"):
+            crossing._left_of(ps)
+        assert "left_of" not in ps._memo
 
 
 class TestHalfplaneBalance:

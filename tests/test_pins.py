@@ -87,6 +87,22 @@ def test_crossing_reports(tmp_path, capsys, family, n, seed, digest):
     assert sha256(run(capsys, "crossing", "--input", best)) == digest
 
 
+def test_crossing_report_on_convex10(tmp_path, capsys):
+    # The size of the crossing benchmark's median op: the solved instance
+    # (points and maximum matching) and its full report.  The report holds
+    # only the five verdicts, so its digest equals convex16's above.
+    inst, best = tmp_path / "convex10.json", tmp_path / "convex10-max.json"
+    run(capsys, "gen", "--family", "convex", "--n", 10, "--seed", 1, "--output", inst)
+    run(capsys, "solve", "--input", inst, "--output", best)
+    assert {
+        "convex10-max.json": sha256(best.read_text()),
+        "crossing-convex10.json": sha256(run(capsys, "crossing", "--input", best)),
+    } == {
+        "convex10-max.json": "3327250388abdf5bf34bb5cb0f431154cb9cd0a9b567e1b46fac77dfee6c9f5b",
+        "crossing-convex10.json": "a719cbbaab6f065481d39e0ac8e2490955a83dc033738cd9e9cca436c3c173a9",
+    }
+
+
 def test_mined_verified_and_certified_outputs_repeat(tmp_path, capsys):
     # Two runs of each command write the same bytes, and the Fingerhut
     # witness on the mined 3-local maximum keeps its recorded slack.
